@@ -34,7 +34,7 @@ use ds_core::builder::SketchBuilder;
 use ds_core::store::SketchStore;
 use ds_query::parser::parse_query;
 use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, MetricsSnapshot, ServeConfig, Server};
+use ds_serve::{Connection, MetricsSnapshot, ServeConfig, Server};
 use ds_storage::catalog::Database;
 use ds_storage::gen::{imdb_database, ImdbConfig};
 
@@ -96,7 +96,7 @@ fn run_fleet(
         let handles: Vec<_> = (0..CLIENTS)
             .map(|i| {
                 s.spawn(move || {
-                    let mut c = Client::connect(addr).expect("connect");
+                    let mut c = Connection::connect(addr).expect("connect");
                     for k in 0..QUERIES_PER_CLIENT {
                         let sql = WORKLOAD[(i + k) % WORKLOAD.len()];
                         c.estimate_value("imdb", sql).expect("wire estimate");
@@ -144,7 +144,7 @@ fn run_warm_cache_open_loop(db: &Arc<Database>, store: &Arc<SketchStore>) -> (Du
     let addr = server.local_addr();
     // Cold pass: populate every template+literal pair once.
     {
-        let mut c = Client::connect(addr).expect("connect");
+        let mut c = Connection::connect(addr).expect("connect");
         for sql in WORKLOAD {
             c.estimate_value("imdb", sql).expect("cold estimate");
         }
@@ -180,7 +180,7 @@ fn run_warm_cache_open_loop(db: &Arc<Database>, store: &Arc<SketchStore>) -> (Du
     });
     let elapsed = t0.elapsed();
     // Read the hit counter before shutdown so the warm claim is auditable.
-    let mut c = Client::connect(addr).expect("connect");
+    let mut c = Connection::connect(addr).expect("connect");
     let hits = c
         .stats()
         .expect("STATS")
@@ -241,7 +241,7 @@ fn main() {
                 .expect("valid bench config"),
         )
         .expect("bind server");
-        let mut c = Client::connect(server.local_addr()).expect("connect");
+        let mut c = Connection::connect(server.local_addr()).expect("connect");
         let obs = ds_obs::global();
         for sql in WORKLOAD {
             let local = s.estimate_one(&parse_query(&db, sql).expect("parse"));
@@ -390,8 +390,8 @@ fn main() {
         )
         .expect("bind server");
         let addr = server.local_addr();
-        let clients: Vec<Mutex<Client>> = (0..OPEN_LOOP_WORKERS)
-            .map(|_| Mutex::new(Client::connect(addr).expect("connect")))
+        let clients: Vec<Mutex<Connection>> = (0..OPEN_LOOP_WORKERS)
+            .map(|_| Mutex::new(Connection::connect(addr).expect("connect")))
             .collect();
         let cfg = OpenLoopConfig {
             target_rps,

@@ -68,8 +68,8 @@ use ds_obs::{PrettySink, Sink, TraceReport};
 use ds_query::parser::parse_query;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_serve::{
-    Client, Connection, FaultInjector, Fleet, FleetClient, FleetConfig, Metrics, Request,
-    RequestTimeline, Response, ServeConfig, Server, TemplateInterner,
+    Connection, FaultInjector, Fleet, FleetClient, FleetConfig, Metrics, RequestTimeline,
+    ServeConfig, Server, TemplateInterner,
 };
 use ds_storage::catalog::Database;
 use ds_storage::gen::{imdb_database, ImdbConfig};
@@ -467,7 +467,7 @@ fn run_fleet(
         let handles: Vec<_> = (0..CLIENTS)
             .map(|i| {
                 s.spawn(move || {
-                    let mut c = Client::connect(addr).expect("connect");
+                    let mut c = Connection::connect(addr).expect("connect");
                     for k in 0..queries_per_client {
                         let sql = WORKLOAD[(i + k) % WORKLOAD.len()];
                         c.estimate_value("imdb", sql).expect("wire estimate");
@@ -581,16 +581,17 @@ fn stage_serving(report: &mut BenchReport, db: &Arc<Database>, store: &Arc<Sketc
 }
 
 /// Times one request's worth of timeline instrumentation — the exact extra
-/// work `timeline: true` adds on the server: the interned template lookup,
-/// the six `Instant` stamps, the five stage-histogram records, and the
-/// worst-case (zero slow threshold) exemplar materialization + ring push.
-/// Returns microseconds per request.
+/// work `timeline: true` adds on the server: the interned template lookup
+/// (the server canonicalizes every request anyway, so the canonical form
+/// is built outside the timed loop), the six `Instant` stamps, the five
+/// stage-histogram records, and the worst-case (zero slow threshold)
+/// exemplar materialization + ring push. Returns microseconds per request.
 fn time_instrumentation(db: &Arc<Database>) -> f64 {
     let interner = TemplateInterner::new();
     let metrics = Metrics::new();
     let queries: Vec<_> = WORKLOAD
         .iter()
-        .map(|sql| parse_query(db, sql).expect("parse workload"))
+        .map(|sql| parse_query(db, sql).expect("parse workload").canonical())
         .collect();
     let iters = 20_000usize;
     let secs = min_secs(5, || {
@@ -1019,7 +1020,7 @@ fn stage_obs(
         })
         .collect();
     for (i, server) in servers.iter().enumerate() {
-        let mut c = Client::connect(server.local_addr()).expect("obs-stage client");
+        let mut c = Connection::connect(server.local_addr()).expect("obs-stage client");
         for k in 0..8 {
             c.estimate_value("imdb", WORKLOAD[(i + k) % WORKLOAD.len()])
                 .expect("obs-stage estimate");
@@ -1034,20 +1035,12 @@ fn stage_obs(
         })
         .collect();
     let scrape = |conns: &mut Vec<Connection>| -> String {
-        let docs: Vec<String> = conns
+        let families: Vec<Vec<ds_obs::PromFamily>> = conns
             .iter_mut()
-            .map(|conn| {
-                match conn
-                    .roundtrip(&Request::Stats, false)
-                    .expect("scrape STATS")
-                {
-                    Response::Text(t) => t.replace("\\n", "\n"),
-                    other => panic!("unexpected STATS response {other:?}"),
-                }
-            })
+            .map(|conn| conn.stats_families().expect("scrape STATS"))
             .collect();
-        let refs: Vec<&str> = docs.iter().map(String::as_str).collect();
-        ds_obs::merge_expositions(&refs).expect("merge shard expositions")
+        let refs: Vec<&[ds_obs::PromFamily]> = families.iter().map(Vec::as_slice).collect();
+        ds_obs::merge_families(&refs).expect("merge shard expositions")
     };
     let merged = scrape(&mut conns);
     // Correctness before speed: the merged counter equals the per-shard

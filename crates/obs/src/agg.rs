@@ -139,15 +139,22 @@ pub fn merge_expositions(docs: &[&str]) -> Option<String> {
         .iter()
         .map(|d| parse_families(d))
         .collect::<Option<_>>()?;
+    let parsed: Vec<&[PromFamily]> = parsed.iter().map(Vec::as_slice).collect();
+    merge_families(&parsed)
+}
 
+/// [`merge_expositions`] over already parsed documents, one family list
+/// per shard. Returns `None` when a histogram family is internally
+/// inconsistent.
+pub fn merge_families(parsed: &[&[PromFamily]]) -> Option<String> {
     // First-seen family order across all documents.
     let mut order: Vec<String> = Vec::new();
     let mut kinds: HashMap<String, FamilyKind> = HashMap::new();
     // Histogram families swallow their `_min`/`_max` sibling gauges into
     // the snapshot reconstruction; remember which names those are.
     let mut swallowed: std::collections::HashSet<String> = std::collections::HashSet::new();
-    for fams in &parsed {
-        for fam in fams {
+    for fams in parsed {
+        for fam in fams.iter() {
             if !kinds.contains_key(&fam.name) {
                 kinds.insert(fam.name.clone(), fam.kind);
                 order.push(fam.name.clone());
@@ -173,8 +180,9 @@ pub fn merge_expositions(docs: &[&str]) -> Option<String> {
         let kind = kinds[name];
         // Every same-kind occurrence of this family across the documents,
         // paired with its document (histograms need their siblings).
-        let occurrences: Vec<(&Vec<PromFamily>, &PromFamily)> = parsed
+        let occurrences: Vec<(&[PromFamily], &PromFamily)> = parsed
             .iter()
+            .copied()
             .flat_map(|fams| {
                 fams.iter()
                     .filter(|f| &f.name == name && f.kind == kind)

@@ -62,7 +62,7 @@ pub mod span;
 pub mod trace;
 pub mod window;
 
-pub use agg::merge_expositions;
+pub use agg::{merge_expositions, merge_families};
 pub use counter::{Counter, Gauge};
 pub use fleet::FleetCounters;
 pub use hist::{HistogramSnapshot, LogHistogram};

@@ -5,6 +5,7 @@
 //! training-query generator of the paper (Figure 1a, step 2), and the
 //! evaluation workloads (JOB-light and a TPC-H analogue).
 
+pub mod canonical;
 pub mod generator;
 pub mod graph;
 pub mod parser;
@@ -13,6 +14,7 @@ pub mod shift;
 pub mod sqlgen;
 pub mod workloads;
 
+pub use canonical::CanonicalQuery;
 pub use generator::{GeneratorConfig, QueryGenerator};
 pub use graph::JoinGraph;
 pub use parser::{parse_query, ParseError};

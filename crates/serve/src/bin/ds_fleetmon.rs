@@ -26,17 +26,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use ds_obs::FleetCounters;
+use ds_obs::{FleetCounters, PromFamily};
 use ds_serve::{
     format_response, parse_request, Connection, ErrorCode, Request, RequestTimeline, Response,
     PROTOCOL_VERSION, SUPPORTED_FEATURES,
 };
 
-/// The latest scrape of the whole fleet: one raw exposition document per
+/// The latest scrape of the whole fleet: one parsed exposition per
 /// reachable shard plus every shard's exemplars.
 #[derive(Default)]
 struct FleetView {
-    expositions: Vec<String>,
+    expositions: Vec<Vec<PromFamily>>,
     timelines: Vec<RequestTimeline>,
 }
 
@@ -56,8 +56,8 @@ impl Monitor {
         let mut timelines = Vec::new();
         for &addr in &self.shards {
             match scrape_shard(addr) {
-                Some((doc, mut tl)) => {
-                    expositions.push(doc);
+                Some((families, mut tl)) => {
+                    expositions.push(families);
                     timelines.append(&mut tl);
                 }
                 None => {
@@ -81,10 +81,10 @@ impl Monitor {
         let view = self.view.lock().expect("fleet view");
         let mut own = ds_obs::PromText::new();
         self.counters.render(&mut own);
-        let own = own.into_string();
-        let mut docs: Vec<&str> = view.expositions.iter().map(String::as_str).collect();
+        let own = ds_obs::parse_families(&own.into_string())?;
+        let mut docs: Vec<&[PromFamily]> = view.expositions.iter().map(Vec::as_slice).collect();
         docs.push(&own);
-        let merged = ds_obs::merge_expositions(&docs)?;
+        let merged = ds_obs::merge_families(&docs)?;
         Some(merged.trim_end().replace('\n', "\\n"))
     }
 
@@ -102,27 +102,14 @@ impl Monitor {
     }
 }
 
-/// One scrape of one shard: `STATS` (unescaped back to a real document)
-/// and `TRACE` (parsed exemplars). `None` when the shard is unreachable
-/// or answers garbage.
-fn scrape_shard(addr: SocketAddr) -> Option<(String, Vec<RequestTimeline>)> {
+/// One scrape of one shard: `STATS` (parsed into metric families) and
+/// `TRACE` (parsed exemplars). `None` when the shard is unreachable or
+/// answers garbage.
+fn scrape_shard(addr: SocketAddr) -> Option<(Vec<PromFamily>, Vec<RequestTimeline>)> {
     let mut conn = Connection::connect_timeout(addr, Duration::from_secs(10)).ok()?;
-    let Response::Text(stats) = conn.roundtrip(&Request::Stats, false).ok()? else {
-        return None;
-    };
-    let doc = stats.replace("\\n", "\n");
-    let Response::Text(trace) = conn.roundtrip(&Request::Trace, false).ok()? else {
-        return None;
-    };
-    let timelines = if trace.trim() == "(none)" {
-        Vec::new()
-    } else {
-        trace
-            .split(';')
-            .map(RequestTimeline::from_wire)
-            .collect::<Option<Vec<_>>>()?
-    };
-    Some((doc, timelines))
+    let families = conn.stats_families().ok()?;
+    let timelines = conn.trace().ok()?;
+    Some((families, timelines))
 }
 
 /// Answers one connection with the aggregator's four verbs; everything

@@ -2,13 +2,12 @@
 //! in front of the batcher.
 //!
 //! A cache entry is keyed by the sketch name, the store **generation** of
-//! the sketch that produced the value, the query's canonical structural
-//! shape (the same canonicalization as [`crate::query_template`]), and the
-//! predicate literal values. Keying by generation makes swap/remove
-//! invalidation structural: a retrained or re-inserted sketch gets a fresh
-//! generation from the store, so stale entries can never hit — the cache
-//! additionally purges them eagerly (and counts the purge) the first time
-//! it sees the new generation.
+//! the sketch that produced the value, and the query's [`CanonicalQuery`]
+//! (template words plus literal words). Keying by generation makes
+//! swap/remove invalidation structural: a retrained or re-inserted sketch
+//! gets a fresh generation from the store, so stale entries can never hit
+//! — the cache additionally purges them eagerly (and counts the purge) the
+//! first time it sees the new generation.
 //!
 //! Correctness contract, enforced by integration tests:
 //!
@@ -18,7 +17,8 @@
 //!   and the serving path consults the cache only after breaker admission,
 //!   so an open circuit is never masked by a warm cache;
 //! * `FEEDBACK`-detected accuracy drift for a template drops every cached
-//!   entry of that template (all literals, all generations).
+//!   entry of that template (all literals, IN-list and LIKE-pattern
+//!   lengths included, and all generations).
 //!
 //! Eviction is sharded second-chance (CLOCK): each shard keeps a FIFO ring
 //! over its keys plus one referenced bit per entry — hits set the bit,
@@ -31,100 +31,39 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
+use ds_query::canonical::CanonicalQuery;
 use ds_query::query::Query;
 
 /// Cache key of one estimate: sketch identity and generation plus the
-/// canonical query shape and its literal values. Two queries build equal
-/// keys exactly when a sketch of that generation must answer them with the
-/// same estimate.
+/// query's canonical form. Two queries build equal keys exactly when a
+/// sketch of that generation must answer them with the same estimate.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EstimateKey {
     sketch: String,
     generation: u64,
-    shape: Vec<u32>,
-    lits: Vec<i64>,
+    query: CanonicalQuery,
 }
 
 impl EstimateKey {
     /// Builds the key for `query` served by `sketch` at `generation`.
     pub fn new(sketch: &str, generation: u64, query: &Query) -> Self {
-        let (shape, lits) = canonical_parts(query);
+        Self::from_canonical(sketch, generation, query.canonical())
+    }
+
+    /// Builds the key from an already canonicalized query.
+    pub(crate) fn from_canonical(sketch: &str, generation: u64, query: CanonicalQuery) -> Self {
         Self {
             sketch: sketch.to_string(),
             generation,
-            shape,
-            lits,
+            query,
         }
     }
 
-    /// The canonical structural shape (template identity) of the keyed
-    /// query: equal shapes ⇔ equal [`crate::query_template`] renderings.
-    pub fn shape(&self) -> &[u32] {
-        &self.shape
+    /// The keyed query's canonical form; its template words are what
+    /// [`EstimateCache::invalidate_template`] matches.
+    pub(crate) fn canonical(&self) -> &CanonicalQuery {
+        &self.query
     }
-}
-
-/// The canonical `(op code, literal vector)` of one predicate. Op codes
-/// 0/1/2 are the comparison operators (`=`, `<`, `>`, one literal each —
-/// unchanged from the pre-extension encoding, so comparison-only keys stay
-/// bit-identical across versions); 3 is `IN` (the canonical sorted list)
-/// and 4 is `LIKE` (the pattern's bytes, one per element, which keeps the
-/// key exact — no hashing, no collisions).
-pub(crate) fn pred_code_and_lits(p: &ds_storage::predicate::ColPredicate) -> (u32, Vec<i64>) {
-    use ds_storage::predicate::PredTest;
-    match &p.test {
-        PredTest::Cmp(op, lit) => (op.index() as u32, vec![*lit]),
-        PredTest::In(values) => (3, values.clone()),
-        PredTest::Like(pat) => (4, pat.as_str().bytes().map(i64::from).collect()),
-    }
-}
-
-/// The canonical `(shape, literals)` of a query. The shape mirrors the
-/// template interner's numeric key — sorted tables, sorted canonical join
-/// quads, sorted predicate triples — except predicates are sorted as
-/// `[table, col, op, literals]` so the literal vector stays aligned
-/// with the shape even when two predicates share a column and operator.
-/// Variable-width predicates (`IN`, `LIKE`) additionally carry their
-/// literal count in the shape, so the literal vector never becomes
-/// ambiguous; fixed-width comparisons keep the legacy 3-word layout.
-fn canonical_parts(query: &Query) -> (Vec<u32>, Vec<i64>) {
-    let mut tables: Vec<u32> = query.tables.iter().map(|t| t.0 as u32).collect();
-    tables.sort_unstable();
-    let mut joins: Vec<[u32; 4]> = query
-        .joins
-        .iter()
-        .map(|j| {
-            let l = [j.left.table.0 as u32, j.left.col as u32];
-            let r = [j.right.table.0 as u32, j.right.col as u32];
-            let ([lt, lc], [rt, rc]) = if l <= r { (l, r) } else { (r, l) };
-            [lt, lc, rt, rc]
-        })
-        .collect();
-    joins.sort_unstable();
-    let mut preds: Vec<(u32, u32, u32, Vec<i64>)> = query
-        .qualified_predicates()
-        .map(|(cr, p)| {
-            let (op, plits) = pred_code_and_lits(p);
-            (cr.table.0 as u32, cr.col as u32, op, plits)
-        })
-        .collect();
-    preds.sort_unstable();
-    let mut shape = Vec::with_capacity(2 + tables.len() + 4 * joins.len() + 4 * preds.len());
-    shape.push(tables.len() as u32);
-    shape.extend_from_slice(&tables);
-    shape.push(joins.len() as u32);
-    for j in &joins {
-        shape.extend_from_slice(j);
-    }
-    let mut lits = Vec::with_capacity(preds.len());
-    for (t, c, op, plits) in &preds {
-        shape.extend_from_slice(&[*t, *c, *op]);
-        if *op >= 3 {
-            shape.push(plits.len() as u32);
-        }
-        lits.extend_from_slice(plits);
-    }
-    (shape, lits)
 }
 
 /// One cached estimate plus its CLOCK referenced bit.
@@ -187,7 +126,9 @@ impl EstimateCache {
         EstimateKey::new(sketch, generation, query)
     }
 
-    fn note_generation(&self, sketch: &str, generation: u64) {
+    /// Records that `sketch` now serves `generation`, eagerly purging its
+    /// entries of any other generation on first sight.
+    pub(crate) fn note_generation(&self, sketch: &str, generation: u64) {
         if self
             .latest
             .read()
@@ -270,17 +211,17 @@ impl EstimateCache {
         );
     }
 
-    /// Drops every cached entry of `sketch` whose query shape equals
-    /// `shape` — all literals, all generations. Called when `FEEDBACK`
-    /// detects accuracy drift for the template. Returns the number of
-    /// entries dropped.
-    pub fn invalidate_template(&self, sketch: &str, shape: &[u32]) -> u64 {
+    /// Drops every cached entry of `sketch` whose template words equal
+    /// `template` ([`CanonicalQuery::template`]) — all literals, all
+    /// generations. Called when `FEEDBACK` detects accuracy drift for the
+    /// template. Returns the number of entries dropped.
+    pub fn invalidate_template(&self, sketch: &str, template: &[u32]) -> u64 {
         let mut dropped = 0u64;
         for shard in &self.shards {
             let mut s = shard.lock().expect("cache shard poisoned");
             let before = s.map.len();
             s.map
-                .retain(|k, _| !(k.sketch == sketch && k.shape == shape));
+                .retain(|k, _| !(k.sketch == sketch && k.query.template() == template));
             dropped += (before - s.map.len()) as u64;
         }
         self.invalidations.fetch_add(dropped, Ordering::Relaxed);
@@ -352,8 +293,9 @@ mod tests {
         let kb = EstimateKey::new("s", 1, &b);
         let kc = EstimateKey::new("s", 1, &c);
         assert_ne!(ka, kb, "literals must distinguish keys");
-        assert_eq!(ka.shape(), kb.shape(), "same template, same shape");
-        assert_ne!(ka.shape(), kc.shape());
+        let template = |k: &EstimateKey| k.canonical().template().to_vec();
+        assert_eq!(template(&ka), template(&kb), "same template, same shape");
+        assert_ne!(template(&ka), template(&kc));
         // Clause order and aliasing never change the key (canonical sort).
         assert_eq!(ka, EstimateKey::new("s", 1, &a.clone()));
     }
@@ -391,7 +333,10 @@ mod tests {
         // Another sketch's entry with the same shape must survive.
         let other = cache.key("other", 9, &a);
         cache.insert(other.clone(), 4.0);
-        assert_eq!(cache.invalidate_template("imdb", ka.shape()), 2);
+        assert_eq!(
+            cache.invalidate_template("imdb", ka.canonical().template()),
+            2
+        );
         assert_eq!(cache.get(&ka), None);
         assert_eq!(cache.get(&kb), None);
         assert_eq!(cache.get(&kc), Some(3.0));
@@ -400,14 +345,12 @@ mod tests {
 
     #[test]
     fn capacity_is_bounded_and_hot_entries_survive_eviction() {
-        let (a, _, _) = queries();
+        let db = imdb_database(&ImdbConfig::tiny(1));
         // Single shard, capacity 4: inserts must never grow past it.
         let cache = EstimateCache::new(4, 1);
-        let key_i = |i: i64| EstimateKey {
-            sketch: "s".to_string(),
-            generation: 1,
-            shape: EstimateKey::new("s", 1, &a).shape.clone(),
-            lits: vec![i],
+        let key_i = |i: i64| {
+            let sql = format!("SELECT COUNT(*) FROM title WHERE title.production_year > {i}");
+            EstimateKey::new("s", 1, &parse_query(&db, &sql).unwrap())
         };
         cache.insert(key_i(0), 0.0);
         for i in 1..20 {

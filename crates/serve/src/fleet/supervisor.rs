@@ -33,7 +33,6 @@ use ds_storage::catalog::Database;
 
 use crate::config::ServeConfig;
 use crate::connection::{Connection, SyncAck};
-use crate::protocol::{Request, Response};
 use crate::server::Server;
 
 use super::{FleetClient, FleetTopology};
@@ -313,11 +312,7 @@ impl Fleet {
     fn probe(&self, shard: usize) -> Option<(Vec<String>, Vec<String>)> {
         let mut conn =
             Connection::connect_timeout(self.nodes[shard].addr, self.cfg.timeout).ok()?;
-        let Response::Text(text) = conn.roundtrip(&Request::Stats, false).ok()? else {
-            return None;
-        };
-        let doc = text.replace("\\n", "\n");
-        let families = ds_obs::parse_families(&doc)?;
+        let families = conn.stats_families().ok()?;
         let flagged = |prefix: &str, suffix: &str| -> Vec<String> {
             families
                 .iter()

@@ -59,15 +59,15 @@
 //!
 //! ```no_run
 //! use std::sync::Arc;
-//! use ds_serve::{Client, ServeConfig, Server};
+//! use ds_serve::{Connection, ServeConfig, Server};
 //!
 //! # fn demo(db: Arc<ds_storage::catalog::Database>,
 //! #         store: Arc<ds_core::store::SketchStore>) -> std::io::Result<()> {
 //! let server = Server::start(db, store, ServeConfig::default())?;
-//! let mut client = Client::connect(server.local_addr())?;
-//! let card = client.estimate_value("imdb", "SELECT COUNT(*) FROM title")?;
+//! let mut conn = Connection::connect(server.local_addr())?;
+//! let card = conn.estimate_value("imdb", "SELECT COUNT(*) FROM title")?;
 //! println!("estimated cardinality: {card}");
-//! client.quit()?;
+//! conn.quit()?;
 //! server.shutdown();
 //! # Ok(())
 //! # }
@@ -81,7 +81,6 @@
 pub mod batcher;
 pub mod breaker;
 pub mod cache;
-pub mod client;
 pub mod config;
 pub mod connection;
 pub mod faults;
@@ -93,9 +92,8 @@ pub mod server;
 pub use batcher::{Batcher, BatcherConfig, Completed, Rejection, SharedEstimator, StageStamps};
 pub use breaker::{Admit, BreakerConfig, BreakerRegistry, CircuitBreaker};
 pub use cache::{EstimateCache, EstimateKey};
-pub use client::{Client, InfoCard};
 pub use config::{ConfigError, ServeConfig, ServeConfigBuilder, ServeSlo, SloSignal};
-pub use connection::{Connection, Handshake, SyncAck};
+pub use connection::{Connection, Handshake, InfoCard, SyncAck};
 pub use ds_core::lifecycle::{
     LifecycleConfig, LifecycleCounters, LifecycleManager, LifecyclePhase, LifecycleStatus,
 };
@@ -108,4 +106,4 @@ pub use protocol::{
     format_response, parse_request, ErrorCode, Request, Response, PROTOCOL_VERSION,
     SUPPORTED_FEATURES,
 };
-pub use server::{query_template, Server, TemplateInterner};
+pub use server::{Server, TemplateInterner};

@@ -22,17 +22,19 @@ use std::time::{Duration, Instant};
 
 use ds_core::lifecycle::{LifecycleManager, LifecyclePhase};
 use ds_core::monitor::MonitorRegistry;
+use ds_core::sketch::DeepSketch;
 use ds_core::snapshot::{decode_hex, decode_snapshot, encode_hex};
 use ds_core::store::{AdoptOutcome, SketchStore};
 use ds_est::EstimateError;
-use ds_obs::{IdSource, PromText, SloTracker, TraceContext};
+use ds_obs::{HistogramSnapshot, IdSource, PromText, SloTracker, TraceContext};
+use ds_query::canonical::CanonicalQuery;
 use ds_query::parser::parse_query;
 use ds_query::query::Query;
 use ds_storage::catalog::Database;
 
 use crate::batcher::{Batcher, BatcherConfig, Rejection, SharedEstimator, StageStamps};
-use crate::breaker::{Admit, BreakerRegistry};
-use crate::cache::EstimateCache;
+use crate::breaker::{Admit, BreakerRegistry, CircuitBreaker};
+use crate::cache::{EstimateCache, EstimateKey};
 use crate::config::{ServeConfig, SloSignal};
 use crate::faults::FaultInjector;
 use crate::metrics::{Metrics, MetricsSnapshot, RequestTimeline};
@@ -494,13 +496,13 @@ fn finish_timeline(p: PendingTimeline, t0: Instant, shared: &Shared) {
     }
 }
 
-/// Interns structural templates: queries with the same shape share one
-/// rendered string, so the per-request timeline path pays a small numeric
-/// key build plus a read-locked map hit instead of re-rendering
-/// [`query_template`] (string sorts and a dozen allocations) on every
-/// request. Shared between the server's hot path and the bench harness's
-/// instrumentation-cost microbenchmark, so the gated number measures the
-/// code the server actually runs.
+/// Interns template labels: queries with the same template words share
+/// one rendered [`CanonicalQuery::template_label`], so the per-request
+/// path pays a read-locked map hit instead of re-rendering the label
+/// (string sorts and a dozen allocations) on every request. Shared between
+/// the server's hot path and the bench harness's instrumentation-cost
+/// microbenchmark, so the gated number measures the code the server
+/// actually runs.
 pub struct TemplateInterner {
     map: RwLock<HashMap<Vec<u32>, Arc<str>>>,
 }
@@ -519,108 +521,22 @@ impl TemplateInterner {
         }
     }
 
-    /// Returns the interned [`query_template`] of `query`, rendering and
-    /// caching it on first sight of the query's structural shape.
-    pub fn get(&self, db: &Database, query: &Query) -> Arc<str> {
-        let key = template_key(query);
-        if let Some(t) = self.map.read().expect("template cache poisoned").get(&key) {
+    /// Returns the interned template label of `query`, rendering and
+    /// caching it on first sight of the query's template words.
+    pub fn get(&self, db: &Database, query: &CanonicalQuery) -> Arc<str> {
+        let key = query.template();
+        if let Some(t) = self.map.read().expect("template cache poisoned").get(key) {
             return Arc::clone(t);
         }
-        let rendered: Arc<str> = query_template(db, query).into();
+        let rendered: Arc<str> = query.template_label(db).into();
         let mut map = self.map.write().expect("template cache poisoned");
         // Bounded against unbounded shape churn; real workloads cycle a
         // handful of shapes, so eviction is effectively unreachable.
         if map.len() >= 4096 {
             map.clear();
         }
-        Arc::clone(map.entry(key).or_insert(rendered))
+        Arc::clone(map.entry(key.to_vec()).or_insert(rendered))
     }
-}
-
-/// The canonical numeric shape of a query — the cache key behind
-/// [`query_template`]. Section lengths prefix the variable-size parts so
-/// table/join boundaries stay unambiguous; joins and predicates are
-/// canonicalized and sorted just like their rendered counterparts, so two
-/// queries share a key exactly when they render the same template.
-fn template_key(query: &Query) -> Vec<u32> {
-    let mut tables: Vec<u32> = query.tables.iter().map(|t| t.0 as u32).collect();
-    tables.sort_unstable();
-    let mut joins: Vec<[u32; 4]> = query
-        .joins
-        .iter()
-        .map(|j| {
-            let l = [j.left.table.0 as u32, j.left.col as u32];
-            let r = [j.right.table.0 as u32, j.right.col as u32];
-            let ([lt, lc], [rt, rc]) = if l <= r { (l, r) } else { (r, l) };
-            [lt, lc, rt, rc]
-        })
-        .collect();
-    joins.sort_unstable();
-    let mut preds: Vec<[u32; 3]> = query
-        .qualified_predicates()
-        .map(|(cr, p)| [cr.table.0 as u32, cr.col as u32, p.op_kind().index() as u32])
-        .collect();
-    preds.sort_unstable();
-    let mut key = Vec::with_capacity(2 + tables.len() + 4 * joins.len() + 3 * preds.len());
-    key.push(tables.len() as u32);
-    key.extend_from_slice(&tables);
-    key.push(joins.len() as u32);
-    for j in &joins {
-        key.extend_from_slice(j);
-    }
-    for p in &preds {
-        key.extend_from_slice(p);
-    }
-    key
-}
-
-/// The structural template of a query: sorted table names, join equalities,
-/// and predicate shapes with literals elided. Space-free by construction
-/// (identifier characters only plus `,|+=<>?.`), so it survives the
-/// one-token wire formats, and canonical, so the same query shape always
-/// feeds the same per-template drift monitor regardless of literal values
-/// or clause order.
-pub fn query_template(db: &Database, query: &Query) -> String {
-    let mut tables: Vec<&str> = query.tables.iter().map(|t| db.table(*t).name()).collect();
-    tables.sort_unstable();
-    let mut joins: Vec<String> = query
-        .joins
-        .iter()
-        .map(|j| {
-            let (l, r) = (db.col_name(j.left), db.col_name(j.right));
-            if l <= r {
-                format!("{l}={r}")
-            } else {
-                format!("{r}={l}")
-            }
-        })
-        .collect();
-    joins.sort();
-    let mut preds: Vec<String> = query
-        .qualified_predicates()
-        .map(|(cr, p)| {
-            // Comparison tokens keep their legacy spelling; the word-like
-            // operators get dot delimiters so the template stays
-            // unambiguous against identifier characters.
-            let tok = match p.op_kind() {
-                ds_storage::predicate::PredOpKind::In => ".IN.",
-                ds_storage::predicate::PredOpKind::Like => ".LIKE.",
-                k => k.sql(),
-            };
-            format!("{}{}?", db.col_name(cr), tok)
-        })
-        .collect();
-    preds.sort();
-    let mut out = tables.join(",");
-    if !joins.is_empty() {
-        out.push('|');
-        out.push_str(&joins.join("+"));
-    }
-    if !preds.is_empty() {
-        out.push('|');
-        out.push_str(&preds.join("+"));
-    }
-    out
 }
 
 /// Answers one request line. Total: every path, including malformed input,
@@ -707,12 +623,12 @@ fn handle_line(
 fn handle_hello(version: u32, shared: &Shared) -> Response {
     if version < MIN_PROTOCOL_VERSION {
         shared.metrics.record_error();
-        return Response::Error {
-            code: ErrorCode::VersionMismatch,
-            message: format!(
+        return error_response(
+            ErrorCode::VersionMismatch,
+            format!(
                 "server speaks {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}, client sent {version}"
             ),
-        };
+        );
     }
     let negotiated = version.min(PROTOCOL_VERSION);
     Response::Text(format!(
@@ -755,10 +671,7 @@ fn handle_sync(name: &str, generation: u64, len: u64, hex: &str, shared: &Shared
         if let Some(bytes) = bytes {
             quarantine_sync(bytes, shared);
         }
-        Response::Error {
-            code: ErrorCode::Decode,
-            message,
-        }
+        error_response(ErrorCode::Decode, message)
     };
     let bytes = match decode_hex(hex) {
         Some(b) => b,
@@ -841,31 +754,89 @@ fn health_failure(r: &Rejection) -> bool {
     }
 }
 
-/// Answers `query` through the configured fallback estimator, flagged
-/// `degraded` on the wire. `None` when no fallback is configured or it
-/// fails too (the caller then surfaces the original error).
-fn degraded_answer(query: &ds_query::query::Query, shared: &Shared) -> Option<Response> {
-    let fallback = shared.fallback.as_ref()?;
-    match fallback.try_estimate(query) {
-        Ok(v) => {
-            shared.metrics.record_degraded();
-            ds_obs::global().count("serve/degraded", 1);
-            Some(Response::Degraded(v))
-        }
-        Err(_) => None,
+/// A typed `ERR` response.
+fn error_response(code: ErrorCode, message: impl Into<String>) -> Response {
+    Response::Error {
+        code,
+        message: message.into(),
     }
 }
 
+/// The wire response for a request the batcher did not answer.
+fn rejection_response(r: Rejection) -> Response {
+    match r {
+        Rejection::Busy { queued } => {
+            Response::Busy(format!("admission queue full ({queued} waiting)"))
+        }
+        Rejection::Timeout => error_response(ErrorCode::Timeout, "request deadline exceeded"),
+        Rejection::ShuttingDown => error_response(ErrorCode::Internal, "server shutting down"),
+        Rejection::Estimate(e) => estimate_error_response(&e),
+    }
+}
+
+/// Answers `query` through the configured fallback estimator. `None` when
+/// no fallback is configured or it fails too (the caller then surfaces the
+/// original error).
+fn fallback_value(query: &Query, shared: &Shared) -> Option<f64> {
+    shared.fallback.as_ref()?.try_estimate(query).ok()
+}
+
+/// One `ESTIMATE` or `FEEDBACK` request as it moves through the pipeline.
+struct EstimateRequest<'a> {
+    sketch: &'a str,
+    sql: &'a str,
+    /// The observed true cardinality a `FEEDBACK` grades against.
+    feedback: Option<u64>,
+    /// When the request line was read.
+    t0: Instant,
+    /// Incoming trace context plus this server's own span id, when the
+    /// request carried a v3 `trace=` token.
+    trace: Option<(TraceContext, u64)>,
+    /// The context handed downstream (batch, shadow mirror): this server's
+    /// span as the parent.
+    child: Option<TraceContext>,
+}
+
+/// A request that resolved, parsed and passed its circuit breaker.
+struct Admitted<'s> {
+    breaker: Arc<CircuitBreaker>,
+    /// Sketch, generation and canonical query — the cache key, and the one
+    /// source of every other identity of the query.
+    key: EstimateKey,
+    generation: u64,
+    /// The interned template label, when the timeline or `FEEDBACK` needs it.
+    template: Option<Arc<str>>,
+    /// The cache, present only while the breaker is fully closed.
+    cache: Option<&'s EstimateCache>,
+    /// The training-time q-error baseline, for `FEEDBACK` drift detection.
+    baseline: Option<HistogramSnapshot>,
+    /// A copy of the query for the shadow scorer, while the sketch is in
+    /// the shadow phase.
+    mirror: Option<Query>,
+}
+
+/// How an `ESTIMATE`/`FEEDBACK` request ended; [`record`] accounts for it.
+enum Outcome<'s> {
+    /// The sketch answered, from the cache or a fresh batch.
+    Answered {
+        admitted: Box<Admitted<'s>>,
+        value: f64,
+        stamps: StageStamps,
+        cache_hit: bool,
+    },
+    /// A `degraded` fallback answer, or an error. The breaker, when
+    /// present, belongs to a sketch whose health failure led here.
+    Unanswered(Response, Option<Arc<CircuitBreaker>>),
+}
+
 /// Estimates `sql` with the named sketch; with `feedback`, additionally
-/// records the q-error against the observed true cardinality. Both paths
+/// grades the estimate against the observed true cardinality. Both paths
 /// answer through the same batcher call, so a `FEEDBACK` estimate is
 /// bit-identical to the `ESTIMATE` it grades.
 ///
-/// The degradation chain wraps the happy path: an open circuit breaker
-/// short-circuits straight to the fallback, and a health-style failure
-/// (decode/execution/unavailable/timeout) trips the breaker and answers
-/// through the fallback when one is configured — flagged `degraded` on the
-/// wire, never silently.
+/// The pipeline runs resolve → parse/canonicalize → admit → answer
+/// ([`admit`], [`answer`]) into one [`Outcome`], which [`record`] accounts
+/// for in one place.
 fn handle_estimate(
     sketch: &str,
     sql: &str,
@@ -876,68 +847,45 @@ fn handle_estimate(
 ) -> (Response, Option<PendingTimeline>) {
     let _span = ds_obs::global().span("serve/estimate");
     // A traced request gets this server's own span, parented under the
-    // caller's; everything downstream (batch, mirror, exemplar) carries
-    // the child context.
-    let server_trace = trace.map(|ctx| (ctx, shared.ids.next_span()));
-    let child_ctx = server_trace.map(|(ctx, span)| ctx.child(span));
-    let (estimator, generation) = match shared.store.get_with_generation(sketch) {
+    // caller's; everything downstream carries the child context.
+    let trace = trace.map(|ctx| (ctx, shared.ids.next_span()));
+    let req = EstimateRequest {
+        sketch,
+        sql,
+        feedback,
+        t0,
+        trace,
+        child: trace.map(|(ctx, span)| ctx.child(span)),
+    };
+    let outcome = admit(&req, shared);
+    record(&req, outcome, shared)
+}
+
+/// Resolves the sketch, parses and canonicalizes the query (once per
+/// request), and admits it through the sketch's circuit breaker. An open
+/// circuit short-circuits straight to the fallback.
+fn admit<'s>(req: &EstimateRequest<'_>, shared: &'s Shared) -> Outcome<'s> {
+    let (estimator, generation) = match shared.store.get_with_generation(req.sketch) {
         Ok(p) => p,
-        Err(e) => {
-            shared.metrics.record_error();
-            shared.record_slos(None, true, None);
-            return (store_error_response(&e), None);
-        }
+        Err(e) => return Outcome::Unanswered(store_error_response(&e), None),
     };
-    let query = match parse_query(&shared.db, sql) {
+    let query = match parse_query(&shared.db, req.sql) {
         Ok(q) => q,
-        Err(e) => {
-            shared.metrics.record_error();
-            shared.record_slos(None, true, None);
-            return (
-                Response::Error {
-                    code: ErrorCode::Parse,
-                    message: e.0,
-                },
-                None,
-            );
-        }
+        Err(e) => return Outcome::Unanswered(error_response(ErrorCode::Parse, e.0), None),
     };
-    let breaker = shared.breakers.breaker(sketch);
+    let key = EstimateKey::from_canonical(req.sketch, generation, query.canonical());
+    let breaker = shared.breakers.breaker(req.sketch);
     if breaker.admit() == Admit::ShortCircuit {
-        return match degraded_answer(&query, shared) {
-            Some(resp) => {
-                shared.metrics.record_ok(t0.elapsed());
-                shared.record_slos(Some(t0.elapsed()), false, None);
-                (resp, None)
-            }
-            None => {
-                shared.metrics.record_error();
-                shared.record_slos(None, true, None);
-                (
-                    Response::Error {
-                        code: ErrorCode::NotReady,
-                        message: format!("sketch '{sketch}' circuit open; no fallback configured"),
-                    },
-                    None,
-                )
-            }
-        };
+        let sketch = req.sketch;
+        let response = fallback_value(&query, shared).map_or_else(
+            || {
+                let message = format!("sketch '{sketch}' circuit open; no fallback configured");
+                error_response(ErrorCode::NotReady, message)
+            },
+            Response::Degraded,
+        );
+        return Outcome::Unanswered(response, None);
     }
-    let template =
-        (shared.timeline || feedback.is_some()).then(|| shared.templates.get(&shared.db, &query));
-    // Shadow mirroring clones the query only while this sketch is actually
-    // in the shadow phase — `shadowing` is one relaxed atomic load when no
-    // candidate exists anywhere, keeping the steady-state path clone-free.
-    let mirror_query = shared
-        .lifecycle
-        .as_ref()
-        .filter(|lc| lc.manager.shadowing(sketch))
-        .map(|_| query.clone());
-    // Harvest key: graded queries dedupe on template + literals, so
-    // re-grading the same concrete query refreshes (not duplicates) its
-    // harvest entry.
-    let harvest_key = (feedback.is_some() && shared.lifecycle.is_some())
-        .then(|| harvest_key(template.as_deref().unwrap_or(""), &query));
     // The cache is consulted only while the breaker is fully closed: an
     // open circuit already short-circuited above, and a half-open probe
     // must exercise the real model to prove recovery — a warm cache must
@@ -946,29 +894,56 @@ fn handle_estimate(
         .cache
         .as_ref()
         .filter(|_| breaker.state_name() == "closed");
-    // Building the key notes the store generation, eagerly purging entries
-    // staled by a swap or remove/re-insert.
-    let cache_key = cache.map(|c| c.key(sketch, generation, &query));
-    // Drift detection compares this sketch's training-time baseline to the
-    // template's rolling feedback; grab it before `estimator` moves.
-    let baseline = (feedback.is_some() && cache.is_some())
-        .then(|| estimator.baseline().cloned())
-        .flatten();
+    // Noting the generation eagerly purges entries staled by a swap or
+    // remove/re-insert.
+    if let Some(c) = cache {
+        c.note_generation(req.sketch, generation);
+    }
+    let admitted = Admitted {
+        template: (shared.timeline || req.feedback.is_some())
+            .then(|| shared.templates.get(&shared.db, key.canonical())),
+        baseline: (req.feedback.is_some() && cache.is_some())
+            .then(|| estimator.baseline().cloned())
+            .flatten(),
+        // Shadow mirroring clones the query only while this sketch is in
+        // the shadow phase — one relaxed atomic load otherwise.
+        mirror: shared
+            .lifecycle
+            .as_ref()
+            .filter(|lc| lc.manager.shadowing(req.sketch))
+            .map(|_| query.clone()),
+        breaker,
+        key,
+        generation,
+        cache,
+    };
+    answer(req, admitted, estimator, query, shared)
+}
+
+/// Answers an admitted request: an injected poison fault, else the cache,
+/// else the batcher. A health-style failure (decode/execution/unavailable/
+/// timeout) trips the breaker and answers through the fallback when one
+/// is configured — flagged `degraded` on the wire, never silently.
+fn answer<'s>(
+    req: &EstimateRequest<'_>,
+    admitted: Admitted<'s>,
+    estimator: Arc<DeepSketch>,
+    query: Query,
+    shared: &Shared,
+) -> Outcome<'s> {
+    let sketch = req.sketch;
+    let faults = shared.faults.as_ref();
     // Keep a copy for the fallback only when degradation can happen; the
     // non-degraded hot path stays clone-free.
     let fallback_query = shared.fallback.as_ref().map(|_| query.clone());
     let mut cache_hit = false;
-    let outcome = if shared
-        .faults
-        .as_ref()
-        .is_some_and(|f| f.is_poisoned(sketch))
-    {
+    let result = if faults.is_some_and(|f| f.is_poisoned(sketch)) {
         // Injected fault: the in-memory model is corrupt; fail before the
         // forward pass, exactly where a real poisoned model would.
         Err(Rejection::Estimate(EstimateError::Execution(format!(
             "sketch '{sketch}' model poisoned (fault injection)"
         ))))
-    } else if let Some(v) = cache_key.as_ref().and_then(|k| cache.unwrap().get(k)) {
+    } else if let Some(v) = admitted.cache.and_then(|c| c.get(&admitted.key)) {
         // Warm cache: the memoized answer is bit-identical to what the
         // forward pass produced when it was inserted, so the wire bytes
         // match a cold estimate exactly.
@@ -988,16 +963,9 @@ fn handle_estimate(
         // The store generation keys the batch: jobs coalesce only within
         // one model version, so a concurrent retraining swap or
         // remove/re-insert can never mix models inside a batch.
-        let result = shared
-            .batcher
-            .estimate_with_trace(generation, estimator, query, child_ctx);
-        match result {
-            Ok(_)
-                if shared
-                    .faults
-                    .as_ref()
-                    .is_some_and(|f| f.should_flip_decode(sketch)) =>
-            {
+        let generation = admitted.generation;
+        match (shared.batcher).estimate_with_trace(generation, estimator, query, req.child) {
+            Ok(_) if faults.is_some_and(|f| f.should_flip_decode(sketch)) => {
                 Err(Rejection::Estimate(EstimateError::Decode(format!(
                     "sketch '{sketch}' decode flipped (fault injection)"
                 ))))
@@ -1005,156 +973,144 @@ fn handle_estimate(
             other => other,
         }
     };
-    match outcome {
-        Ok((v, stamps)) => {
-            breaker.record_success();
-            shared.metrics.record_ok(t0.elapsed());
-            let qerror = feedback.map(|actual| ds_core::metrics::qerror(v, actual.max(1) as f64));
-            shared.record_slos(Some(t0.elapsed()), false, qerror);
-            let mut drifted = false;
-            if let Some(actual) = feedback {
-                let monitor = shared.monitors.monitor(sketch);
-                let tmpl = template.as_deref().unwrap_or("");
-                monitor.record(tmpl, v, actual as f64);
-                // Graded queries feed the lifecycle harvest (and, post-swap,
-                // the guard window) — the raw SQL rides along so the daemon
-                // can re-parse it for incremental retraining.
-                if let (Some(lc), Some(key)) = (shared.lifecycle.as_ref(), harvest_key.as_deref()) {
-                    lc.manager.observe_feedback(sketch, key, sql, v, actual);
-                }
-                // FEEDBACK doubles as the drift signal: once this
-                // template's rolling q-error degrades past the configured
-                // ratio versus the training-time baseline, its cached
-                // estimates are dropped (and this one is not re-inserted).
-                if let (Some(c), Some(k), Some(base)) =
-                    (cache, cache_key.as_ref(), baseline.as_ref())
-                {
-                    if let Some(rolling) = monitor.template_rolling(tmpl) {
-                        let stale =
-                            ds_core::maintain::accuracy_drift(base, &rolling).is_some_and(|d| {
-                                d.is_stale(
-                                    ds_core::maintain::DEFAULT_DRIFT_RATIO,
-                                    ds_core::maintain::DEFAULT_MIN_SAMPLES,
-                                )
-                            });
-                        if stale {
-                            c.invalidate_template(sketch, k.shape());
-                            drifted = true;
-                        }
-                    }
-                }
-            }
-            if !cache_hit && !drifted {
-                if let (Some(c), Some(k)) = (cache, cache_key) {
-                    c.insert(k, v);
-                }
-            }
-            // Mirror the request to the shadow scorer *after* answering is
-            // decided: the candidate never contributes to the wire response,
-            // and a full queue drops the mirror (counted), never the client.
-            if let (Some(lc), Some(q)) = (shared.lifecycle.as_ref(), mirror_query) {
-                let job = ShadowJob {
-                    sketch: sketch.to_string(),
-                    query: q,
-                    live: v,
-                    actual: feedback,
-                    trace: child_ctx,
-                };
-                match lc.shadow_tx.try_send(job) {
-                    Ok(()) => {
-                        lc.mirrored.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        lc.shadow_dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            let pending = shared.timeline.then(|| PendingTimeline {
-                sketch: sketch.to_string(),
-                template: Arc::clone(template.as_ref().expect("template built when timeline on")),
+    let rejection = match result {
+        Ok((value, stamps)) => {
+            return Outcome::Answered {
+                admitted: Box::new(admitted),
+                value,
                 stamps,
-                trace: server_trace,
-            });
-            (Response::Estimate(v), pending)
-        }
-        Err(rejection) => {
-            if health_failure(&rejection) {
-                breaker.record_failure();
-                if let Some(q) = fallback_query.as_ref() {
-                    if let Some(resp) = degraded_answer(q, shared) {
-                        shared.metrics.record_ok(t0.elapsed());
-                        shared.record_slos(Some(t0.elapsed()), false, None);
-                        return (resp, None);
-                    }
-                }
-            }
-            shared.record_slos(None, true, None);
-            match rejection {
-                Rejection::Busy { queued } => {
-                    // The batcher already counted the shed.
-                    (
-                        Response::Busy(format!("admission queue full ({queued} waiting)")),
-                        None,
-                    )
-                }
-                Rejection::Timeout => {
-                    // The batcher already counted the timeout.
-                    (
-                        Response::Error {
-                            code: ErrorCode::Timeout,
-                            message: "request deadline exceeded".to_string(),
-                        },
-                        None,
-                    )
-                }
-                Rejection::ShuttingDown => {
-                    shared.metrics.record_error();
-                    (
-                        Response::Error {
-                            code: ErrorCode::Internal,
-                            message: "server shutting down".to_string(),
-                        },
-                        None,
-                    )
-                }
-                Rejection::Estimate(e) => {
-                    shared.metrics.record_error();
-                    (estimate_error_response(&e), None)
-                }
+                cache_hit,
             }
         }
-    }
+        Err(r) => r,
+    };
+    let tripped = health_failure(&rejection).then_some(admitted.breaker);
+    let response = (tripped.as_ref().and(fallback_query))
+        .and_then(|q| fallback_value(&q, shared))
+        .map_or_else(|| rejection_response(rejection), Response::Degraded);
+    Outcome::Unanswered(response, tripped)
 }
 
-/// The harvest deduplication key: the interner's canonical template plus
-/// the concrete literals in a sorted, stable rendering. Two gradings of
-/// the same concrete query collide (refreshing that harvest entry); the
-/// same template with different literals stays distinct.
-fn harvest_key(template: &str, query: &ds_query::query::Query) -> String {
-    use std::fmt::Write as _;
-    let mut preds: Vec<(usize, usize, u32, Vec<i64>)> = query
-        .qualified_predicates()
-        .map(|(cr, p)| {
-            let (op, lits) = crate::cache::pred_code_and_lits(p);
-            (cr.table.0, cr.col, op, lits)
-        })
-        .collect();
-    preds.sort_unstable();
-    let mut key = String::with_capacity(template.len() + preds.len() * 12);
-    key.push_str(template);
-    for (t, c, op, lits) in preds {
-        // Op codes < 3 are single-literal comparisons and keep the legacy
-        // `#{t}.{c}:{op}={lit}` spelling; IN/LIKE render their full
-        // literal vector so distinct lists and patterns stay distinct.
-        let _ = write!(key, "#{t}.{c}:{op}=");
-        for (i, lit) in lits.iter().enumerate() {
-            if i > 0 {
-                key.push(',');
+/// Records one finished request in one place — metrics, SLOs, breaker,
+/// drift monitor, harvest, drift invalidation, cache insert and shadow
+/// mirror — and returns its wire response plus, for answered requests
+/// with the timeline on, the timeline still waiting for its write stamp.
+fn record(
+    req: &EstimateRequest<'_>,
+    outcome: Outcome<'_>,
+    shared: &Shared,
+) -> (Response, Option<PendingTimeline>) {
+    let latency = req.t0.elapsed();
+    let (admitted, value, stamps, cache_hit) = match outcome {
+        Outcome::Answered {
+            admitted,
+            value,
+            stamps,
+            cache_hit,
+        } => (*admitted, value, stamps, cache_hit),
+        Outcome::Unanswered(response, tripped) => {
+            if let Some(breaker) = tripped {
+                breaker.record_failure();
             }
-            let _ = write!(key, "{lit}");
+            match response {
+                Response::Degraded(_) => {
+                    shared.metrics.record_degraded();
+                    ds_obs::global().count("serve/degraded", 1);
+                    shared.metrics.record_ok(latency);
+                    shared.record_slos(Some(latency), false, None);
+                }
+                // The batcher already counted its sheds and timeouts.
+                Response::Busy(_)
+                | Response::Error {
+                    code: ErrorCode::Timeout,
+                    ..
+                } => shared.record_slos(None, true, None),
+                _ => {
+                    shared.metrics.record_error();
+                    shared.record_slos(None, true, None);
+                }
+            }
+            return (response, None);
         }
+    };
+    admitted.breaker.record_success();
+    shared.metrics.record_ok(latency);
+    let qerror = req
+        .feedback
+        .map(|actual| ds_core::metrics::qerror(value, actual.max(1) as f64));
+    shared.record_slos(Some(latency), false, qerror);
+    let drifted = req
+        .feedback
+        .is_some_and(|actual| record_feedback(req, &admitted, value, actual, shared));
+    if let Some(c) = admitted.cache.filter(|_| !cache_hit && !drifted) {
+        c.insert(admitted.key, value);
     }
-    key
+    // Mirror the request to the shadow scorer *after* answering is
+    // decided: the candidate never contributes to the wire response, and a
+    // full queue drops the mirror (counted), never the client.
+    if let (Some(lc), Some(query)) = (shared.lifecycle.as_ref(), admitted.mirror) {
+        let job = ShadowJob {
+            sketch: req.sketch.to_string(),
+            query,
+            live: value,
+            actual: req.feedback,
+            trace: req.child,
+        };
+        let counter = match lc.shadow_tx.try_send(job) {
+            Ok(()) => &lc.mirrored,
+            Err(_) => &lc.shadow_dropped,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+    let pending = shared.timeline.then(|| PendingTimeline {
+        sketch: req.sketch.to_string(),
+        template: admitted
+            .template
+            .expect("template interned when timeline on"),
+        stamps,
+        trace: req.trace,
+    });
+    (Response::Estimate(value), pending)
+}
+
+/// Grades one answered `FEEDBACK`: feeds the drift monitor and the
+/// lifecycle harvest, and once the template's rolling q-error has drifted
+/// past the training-time baseline, drops the template's cached estimates.
+/// Returns whether it dropped them (the answer is then not re-inserted).
+fn record_feedback(
+    req: &EstimateRequest<'_>,
+    admitted: &Admitted<'_>,
+    value: f64,
+    actual: u64,
+    shared: &Shared,
+) -> bool {
+    let template = admitted.template.as_deref().unwrap_or("");
+    let monitor = shared.monitors.monitor(req.sketch);
+    monitor.record(template, value, actual as f64);
+    // Graded queries feed the lifecycle harvest (and, post-swap, the guard
+    // window), deduplicated on the concrete query; the raw SQL rides along
+    // so the daemon can re-parse it for incremental retraining.
+    if let Some(lc) = shared.lifecycle.as_ref() {
+        let key = admitted.key.canonical().concrete_label(template);
+        lc.manager
+            .observe_feedback(req.sketch, &key, req.sql, value, actual);
+    }
+    let (Some(cache), Some(base)) = (admitted.cache, admitted.baseline.as_ref()) else {
+        return false;
+    };
+    let stale = monitor
+        .template_rolling(template)
+        .and_then(|rolling| ds_core::maintain::accuracy_drift(base, &rolling))
+        .is_some_and(|d| {
+            d.is_stale(
+                ds_core::maintain::DEFAULT_DRIFT_RATIO,
+                ds_core::maintain::DEFAULT_MIN_SAMPLES,
+            )
+        });
+    if stale {
+        cache.invalidate_template(req.sketch, admitted.key.canonical().template());
+    }
+    stale
 }
 
 /// The lifecycle daemon loop: drains mirrored shadow jobs, steps the
@@ -1259,7 +1215,7 @@ fn handle_lifecycle(sketch: &str, shared: &Shared) -> Response {
 
 /// Renders every counter, gauge, and histogram as Prometheus text
 /// exposition. Real newlines cannot cross the one-line wire, so they are
-/// escaped as literal `\n`; [`crate::Client::stats`] reverses this.
+/// escaped as literal `\n`; [`crate::Connection::stats`] reverses this.
 fn stats_payload(shared: &Shared) -> String {
     let m = &shared.metrics;
     let mut p = PromText::new();
@@ -1404,34 +1360,29 @@ mod tests {
     fn interner_shares_one_rendering_per_query_shape() {
         let db = imdb_database(&ImdbConfig::tiny(3));
         let interner = TemplateInterner::new();
+        let parse = |sql: &str| parse_query(&db, sql).expect("parse").canonical();
         // Same shape, different literals and clause order → one entry.
-        let a = parse_query(
-            &db,
+        let a = parse(
             "SELECT COUNT(*) FROM title t, movie_keyword mk \
              WHERE mk.movie_id = t.id AND t.production_year > 1995",
-        )
-        .expect("parse");
-        let b = parse_query(
-            &db,
+        );
+        let b = parse(
             "SELECT COUNT(*) FROM movie_keyword mk, title t \
              WHERE t.production_year > 2001 AND mk.movie_id = t.id",
-        )
-        .expect("parse");
+        );
         let ta = interner.get(&db, &a);
         let tb = interner.get(&db, &b);
         assert!(Arc::ptr_eq(&ta, &tb), "same shape must intern to one Arc");
-        assert_eq!(ta.as_ref(), query_template(&db, &a));
-        assert_eq!(ta.as_ref(), query_template(&db, &b));
+        assert_eq!(ta.as_ref(), a.template_label(&db));
+        assert_eq!(ta.as_ref(), b.template_label(&db));
 
         // A different operator on the same column is a different shape.
-        let c = parse_query(
-            &db,
+        let c = parse(
             "SELECT COUNT(*) FROM title t, movie_keyword mk \
              WHERE mk.movie_id = t.id AND t.production_year < 1995",
-        )
-        .expect("parse");
+        );
         let tc = interner.get(&db, &c);
         assert!(!Arc::ptr_eq(&ta, &tc));
-        assert_eq!(tc.as_ref(), query_template(&db, &c));
+        assert_eq!(tc.as_ref(), c.template_label(&db));
     }
 }

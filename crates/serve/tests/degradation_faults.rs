@@ -17,35 +17,16 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ds_core::builder::SketchBuilder;
-use ds_core::store::SketchStore;
 use ds_est::postgres::PostgresEstimator;
 use ds_est::CardinalityEstimator;
 use ds_query::parser::parse_query;
-use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, ServeConfig, Server, SharedEstimator};
-use ds_storage::catalog::Database;
-use ds_storage::gen::{imdb_database, ImdbConfig};
+use ds_serve::{Connection, ServeConfig, Server, SharedEstimator};
+
+mod common;
+
+use common::fixture;
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
-
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
-}
-
-fn fixture() -> (Arc<Database>, Arc<SketchStore>) {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
-    let store = Arc::new(SketchStore::new());
-    store.insert("imdb", tiny_sketch(&db, 7)).unwrap();
-    (db, store)
-}
 
 /// Configuring a fallback must not perturb healthy responses by a single
 /// byte: the raw `ESTIMATE` line is exactly `OK <v:?>` with the same bits a
@@ -69,7 +50,7 @@ fn healthy_wire_responses_are_byte_identical_with_degradation_configured() {
             .unwrap(),
     )
     .unwrap();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
     let line = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
     assert_eq!(line, format!("OK {expected:?}"), "byte-identical wire line");
     let (v, degraded) = c.estimate_flagged("imdb", SQL).unwrap();
@@ -113,7 +94,8 @@ mod faulted {
                 .unwrap(),
         )
         .unwrap();
-        let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+        let mut c =
+            Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
         // Sanity: healthy first.
         let (v, degraded) = c.estimate_flagged("imdb", SQL).unwrap();
@@ -177,7 +159,8 @@ mod faulted {
                 .unwrap(),
         )
         .unwrap();
-        let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+        let mut c =
+            Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
         // Two decode failures reach the client as typed errors and count
         // toward the breaker.
@@ -248,7 +231,8 @@ mod faulted {
                 .unwrap(),
         )
         .unwrap();
-        let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+        let mut c =
+            Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
         // The forward pass stalls past the 50ms deadline; the timeout is a
         // health failure, so the fallback answers with the flag instead of
         // surfacing `ERR timeout`.

@@ -6,49 +6,21 @@
 //! * a sketch swap (remove + re-insert) invalidates: stale generations can
 //!   never answer, and the purge is counted;
 //! * sustained `FEEDBACK`-detected accuracy drift purges the drifting
-//!   template's entries;
+//!   template's entries, whatever their IN-list or LIKE-pattern lengths;
 //! * degraded responses are never cached, and a warm cache never masks an
 //!   unhealthy sketch (fault-dependent, so `debug_assertions`-only).
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use ds_core::builder::SketchBuilder;
-use ds_core::store::SketchStore;
 use ds_query::parser::parse_query;
-use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, ServeConfig, Server};
-use ds_storage::catalog::Database;
-use ds_storage::gen::{imdb_database, ImdbConfig};
+use ds_serve::{Connection, ServeConfig, Server};
+
+mod common;
+
+use common::{fixture, stat, tiny_sketch};
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
-
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
-}
-
-fn fixture() -> (Arc<Database>, Arc<SketchStore>) {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
-    let store = Arc::new(SketchStore::new());
-    store.insert("imdb", tiny_sketch(&db, 7)).unwrap();
-    (db, store)
-}
-
-fn stat(c: &mut Client, name: &str) -> f64 {
-    c.stats()
-        .unwrap()
-        .iter()
-        .find(|s| s.name == name)
-        .map(|s| s.value)
-        .unwrap_or_else(|| panic!("missing sample {name}"))
-}
 
 /// A cache hit must be invisible on the wire: the second raw `ESTIMATE`
 /// line is byte-for-byte the cold line, which itself carries the same bits
@@ -69,7 +41,7 @@ fn cache_hit_returns_bit_identical_wire_bytes() {
             .unwrap(),
     )
     .unwrap();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     let cold = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
     assert_eq!(cold, format!("OK {expected:?}"), "cold line");
@@ -102,7 +74,7 @@ fn zero_capacity_disables_the_cache() {
             .unwrap(),
     )
     .unwrap();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
     for _ in 0..2 {
         let line = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
         assert_eq!(line, format!("OK {expected:?}"));
@@ -142,7 +114,7 @@ fn swap_invalidates_stale_generations() {
             .unwrap(),
     )
     .unwrap();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     // Warm the cache against the original model.
     for _ in 0..2 {
@@ -193,7 +165,7 @@ fn feedback_drift_purges_the_template() {
             .unwrap(),
     )
     .unwrap();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     let v = c.estimate_value("imdb", SQL).unwrap();
     // Report a true cardinality ~10⁶× off: the rolling q-error dwarfs the
@@ -209,6 +181,48 @@ fn feedback_drift_purges_the_template() {
     );
     c.quit().unwrap();
     server.shutdown();
+}
+
+/// IN-list and LIKE-pattern lengths are literals, not template: bad
+/// `FEEDBACK` on one length drives accuracy drift that purges the cached
+/// entries of every length of the template, so the next ESTIMATE of a
+/// warm sibling misses the cache and still answers the same bits.
+#[test]
+fn feedback_drift_purges_every_in_and_like_length() {
+    for (warm, drive) in [
+        ("kind_id IN (1, 2)", "kind_id IN (1, 2, 3)"),
+        ("production_year LIKE '19%'", "production_year LIKE '199%'"),
+    ] {
+        let warm = format!("SELECT COUNT(*) FROM title WHERE title.{warm}");
+        let drive = format!("SELECT COUNT(*) FROM title WHERE title.{drive}");
+        let (db, store) = fixture();
+        let cfg = ServeConfig::builder()
+            .request_timeout(Duration::from_secs(30))
+            .build()
+            .unwrap();
+        let server = Server::start(Arc::clone(&db), store, cfg).unwrap();
+        let addr = server.local_addr();
+        let mut c = Connection::connect_timeout(addr, Duration::from_secs(30)).unwrap();
+        let est = |c: &mut Connection, sql: &str| c.estimate_value("imdb", sql).unwrap();
+
+        let v = est(&mut c, &warm).to_bits();
+        assert_eq!(est(&mut c, &warm).to_bits(), v);
+        assert_eq!(stat(&mut c, "ds_serve_cache_hits"), 1.0, "warm {warm}");
+        let actual = (est(&mut c, &drive) * 1e6).max(1e6) as u64;
+        for _ in 0..60 {
+            c.feedback_value("imdb", actual, &drive).unwrap();
+        }
+        assert!(stat(&mut c, "ds_serve_cache_invalidations") >= 1.0);
+
+        let hits = stat(&mut c, "ds_serve_cache_hits");
+        let misses = stat(&mut c, "ds_serve_cache_misses");
+        assert_eq!(est(&mut c, &warm).to_bits(), v);
+        let hits_after = stat(&mut c, "ds_serve_cache_hits");
+        assert_eq!(hits_after, hits, "drift on {drive} left {warm} cached");
+        assert_eq!(stat(&mut c, "ds_serve_cache_misses"), misses + 1.0);
+        c.quit().unwrap();
+        server.shutdown();
+    }
 }
 
 #[cfg(debug_assertions)]
@@ -246,7 +260,8 @@ mod faulted {
                 .unwrap(),
         )
         .unwrap();
-        let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+        let mut c =
+            Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
         // Warm the cache while healthy.
         for _ in 0..2 {

@@ -13,28 +13,18 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_core::builder::SketchBuilder;
 use ds_core::snapshot::encode_snapshot;
 use ds_core::store::SketchStore;
 use ds_query::parser::parse_query;
-use ds_query::workloads::imdb_predicate_columns;
 use ds_serve::fleet::FleetConfig;
 use ds_serve::{Connection, Fleet, ServeConfig, Server, SyncAck};
-use ds_storage::catalog::Database;
 use ds_storage::gen::{imdb_database, ImdbConfig};
 
-const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
+mod common;
 
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
-}
+use common::tiny_sketch;
+
+const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
 
 fn fleet_config(shards: usize, replication: usize) -> FleetConfig {
     FleetConfig {

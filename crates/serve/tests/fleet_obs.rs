@@ -17,84 +17,24 @@
 //!   aggregator's own `fleet/…` scrape counters folded into the same
 //!   document.
 
-use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_core::builder::SketchBuilder;
 use ds_core::snapshot::encode_snapshot;
 use ds_obs::{FamilyKind, PromFamily, TraceContext};
 use ds_query::parser::parse_query;
-use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, Connection, FleetClient, FleetTopology, RequestTimeline, SyncAck};
-use ds_storage::catalog::Database;
+use ds_serve::{Connection, FleetClient, FleetTopology, RequestTimeline, SyncAck};
 use ds_storage::gen::{imdb_database, ImdbConfig};
+
+mod common;
+
+use common::{tiny_sketch, Proc};
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
 
-/// One spawned server process (`ds_shard` or `ds_fleetmon`); killed on
-/// drop so a failing test never leaks servers.
-struct Proc {
-    child: Child,
-    addr: SocketAddr,
-}
-
-impl Proc {
-    /// Spawns `bin` with `args` and reads the `ADDR` banner it prints
-    /// once listening.
-    fn spawn(bin: &str, args: &[String]) -> Proc {
-        let mut child = Command::new(bin)
-            .args(args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .expect("spawn server process");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read ADDR line");
-        let addr = line
-            .trim()
-            .strip_prefix("ADDR ")
-            .unwrap_or_else(|| panic!("bad banner {line:?}"))
-            .parse()
-            .expect("parse server addr");
-        Proc { child, addr }
-    }
-
-    fn kill(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-impl Drop for Proc {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-fn tiny_sketch(db: &Database) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(7)
-        .build()
-        .expect("tiny sketch")
-}
-
 fn connect(addr: SocketAddr) -> Connection {
     Connection::connect_timeout(addr, Duration::from_secs(30)).expect("connect")
-}
-
-fn client(addr: SocketAddr) -> Client {
-    Client::connect_timeout(addr, Duration::from_secs(30)).expect("typed client")
 }
 
 /// The single scalar sample of a counter/gauge family, or 0 when the
@@ -163,7 +103,7 @@ fn assert_decomposes(t: &RequestTimeline) {
 #[test]
 fn fleetmon_stitches_traces_and_merges_stats_across_processes() {
     let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
-    let sketch = tiny_sketch(&db);
+    let sketch = tiny_sketch(&db, 7);
     let expected = sketch.estimate_one(&parse_query(&db, SQL).unwrap());
     let blob = encode_snapshot("imdb", 1, &sketch, None);
 
@@ -234,7 +174,7 @@ fn fleetmon_stitches_traces_and_merges_stats_across_processes() {
     let mut shard_families: Vec<Vec<PromFamily>> = Vec::new();
     let mut shard_timelines: Vec<RequestTimeline> = Vec::new();
     for &s in &live {
-        let mut c = client(shards[s].addr);
+        let mut c = connect(shards[s].addr);
         shard_families.push(c.stats_families().expect("shard STATS"));
         shard_timelines.extend(c.trace().expect("shard TRACE"));
         c.quit().ok();
@@ -250,7 +190,7 @@ fn fleetmon_stitches_traces_and_merges_stats_across_processes() {
     args.push("200".to_string());
     let fleetmon = Proc::spawn(env!("CARGO_BIN_EXE_ds_fleetmon"), &args);
 
-    let mut mon = client(fleetmon.addr);
+    let mut mon = connect(fleetmon.addr);
     let merged = mon.stats_families().expect("fleetmon STATS");
     let stitched = mon.trace().expect("fleetmon TRACE");
     mon.quit().ok();

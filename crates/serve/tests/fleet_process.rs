@@ -7,80 +7,20 @@
 //! in-process `fleet_failover` suite; the CI fleet-smoke job runs exactly
 //! this test under a watchdog `timeout`.
 
-use std::io::{BufRead, BufReader};
 use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_core::builder::SketchBuilder;
 use ds_core::snapshot::encode_snapshot;
 use ds_query::parser::parse_query;
-use ds_query::workloads::imdb_predicate_columns;
 use ds_serve::{Connection, FleetClient, FleetTopology, SyncAck};
-use ds_storage::catalog::Database;
 use ds_storage::gen::{imdb_database, ImdbConfig};
 
+mod common;
+
+use common::{tiny_sketch, Proc};
+
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
-
-/// One spawned shard process; killed on drop so a failing test never
-/// leaks servers.
-struct ShardProc {
-    child: Child,
-    addr: SocketAddr,
-}
-
-impl ShardProc {
-    /// Spawns `ds_shard` (optionally on a fixed address for respawn) and
-    /// reads the `ADDR` line it prints once listening.
-    fn spawn(addr: Option<SocketAddr>) -> ShardProc {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_ds_shard"));
-        if let Some(addr) = addr {
-            cmd.arg("--addr").arg(addr.to_string());
-        }
-        let mut child = cmd
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .spawn()
-            .expect("spawn ds_shard");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read ADDR line");
-        let addr = line
-            .trim()
-            .strip_prefix("ADDR ")
-            .unwrap_or_else(|| panic!("bad banner {line:?}"))
-            .parse()
-            .expect("parse shard addr");
-        ShardProc { child, addr }
-    }
-
-    /// SIGKILL — the real thing, no graceful shutdown.
-    fn kill(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-impl Drop for ShardProc {
-    fn drop(&mut self) {
-        self.kill();
-    }
-}
-
-fn tiny_sketch(db: &Database) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(7)
-        .build()
-        .expect("tiny sketch")
-}
 
 fn connect(addr: SocketAddr) -> Connection {
     Connection::connect_timeout(addr, Duration::from_secs(30)).expect("connect to shard")
@@ -91,11 +31,12 @@ fn fleet_of_processes_survives_sigkill_and_reseeds_the_replacement() {
     // The shards generate the same tiny catalog from the default seed, so
     // the sketch we train here parses and answers identically over there.
     let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
-    let sketch = tiny_sketch(&db);
+    let sketch = tiny_sketch(&db, 7);
     let expected = sketch.estimate_one(&parse_query(&db, SQL).unwrap());
     let blob = encode_snapshot("imdb", 1, &sketch, None);
 
-    let mut shards: Vec<ShardProc> = (0..3).map(|_| ShardProc::spawn(None)).collect();
+    let spawn = |args: &[String]| Proc::spawn(env!("CARGO_BIN_EXE_ds_shard"), args);
+    let mut shards: Vec<Proc> = (0..3).map(|_| spawn(&[])).collect();
     let topology = FleetTopology::new(shards.iter().map(|s| s.addr).collect(), 2);
     let replicas = topology.replicas("imdb");
     assert_eq!(replicas.len(), 2);
@@ -145,7 +86,7 @@ fn fleet_of_processes_survives_sigkill_and_reseeds_the_replacement() {
         let mut attempt = 0;
         loop {
             attempt += 1;
-            let mut proc = ShardProc::spawn(Some(addr));
+            let mut proc = spawn(&["--addr".to_string(), addr.to_string()]);
             match proc.child.try_wait() {
                 Ok(None) => break proc,
                 _ if attempt < 50 => std::thread::sleep(Duration::from_millis(100)),

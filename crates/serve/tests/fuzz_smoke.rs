@@ -167,7 +167,7 @@ fn fuzz_live_server_answers_every_corpus_line_with_a_typed_response() {
     use std::sync::Arc;
     use std::time::Duration;
 
-    use ds_serve::{Client, ServeConfig, Server};
+    use ds_serve::{Connection, ServeConfig, Server};
 
     let db = Arc::new(ds_storage::gen::imdb_database(
         &ds_storage::gen::ImdbConfig::tiny(42),
@@ -192,7 +192,8 @@ fn fuzz_live_server_answers_every_corpus_line_with_a_typed_response() {
             .unwrap(),
     )
     .unwrap();
-    let connect = || Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let connect =
+        || Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
     let mut client = connect();
 
     let seeds = load_lines("requests.txt");

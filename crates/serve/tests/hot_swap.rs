@@ -13,42 +13,14 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ds_core::builder::SketchBuilder;
-use ds_core::store::SketchStore;
 use ds_query::parser::parse_query;
-use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, ServeConfig, Server};
-use ds_storage::catalog::Database;
-use ds_storage::gen::{imdb_database, ImdbConfig};
+use ds_serve::{Connection, ServeConfig, Server};
+
+mod common;
+
+use common::{fixture, stat};
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
-
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
-}
-
-fn fixture() -> (Arc<Database>, Arc<SketchStore>) {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
-    let store = Arc::new(SketchStore::new());
-    store.insert("imdb", tiny_sketch(&db, 7)).unwrap();
-    (db, store)
-}
-
-fn stat(c: &mut Client, name: &str) -> f64 {
-    c.stats()
-        .unwrap()
-        .iter()
-        .find(|s| s.name == name)
-        .map(|s| s.value)
-        .unwrap_or_else(|| panic!("missing sample {name}"))
-}
 
 /// Swapping in a model with identical weights must be invisible in the
 /// answer bytes — and visible in the cache counters: the generation bump
@@ -69,7 +41,7 @@ fn estimates_stay_bit_identical_across_swap_and_cache_invalidates() {
             .unwrap(),
     )
     .unwrap();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     let cold = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
     assert_eq!(cold, format!("OK {expected:?}"), "cold line");
@@ -131,7 +103,7 @@ fn concurrent_hammer_sees_zero_dropped_or_incorrect_responses() {
         .map(|_| {
             let expected_line = expected_line.clone();
             std::thread::spawn(move || {
-                let mut c = Client::connect_timeout(addr, Duration::from_secs(30)).unwrap();
+                let mut c = Connection::connect_timeout(addr, Duration::from_secs(30)).unwrap();
                 for i in 0..REQUESTS {
                     let line = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
                     assert_eq!(line, expected_line, "request {i}");

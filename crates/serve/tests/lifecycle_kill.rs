@@ -16,15 +16,18 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_core::builder::SketchBuilder;
 use ds_core::lifecycle::{HarvestSet, LifecycleConfig};
 use ds_core::store::SketchStore;
 use ds_query::generator::{GeneratorConfig, QueryGenerator};
 use ds_query::sqlgen::to_sql;
 use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, ServeConfig, Server};
+use ds_serve::{Connection, ServeConfig, Server};
 use ds_storage::catalog::Database;
 use ds_storage::gen::{imdb_database, ImdbConfig};
+
+mod common;
+
+use common::tiny_sketch;
 
 const DRIFT_FACTOR: u64 = 64;
 const PROBE_SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
@@ -34,17 +37,6 @@ fn iterations() -> usize {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(3)
-}
-
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
 }
 
 fn drill_lifecycle_config() -> LifecycleConfig {
@@ -119,7 +111,7 @@ fn lifecycle_kill_child_server() {
     .expect("child: server");
     let manager = server.lifecycle().expect("child: lifecycle enabled");
     let workload = drifted_workload(&db, 16);
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
     let mut marked = false;
     loop {
         for (sql, actual) in &workload {
@@ -241,7 +233,8 @@ fn kill_nine_mid_retrain_restarts_clean() {
                 "iter {iter}: warm restart must reload the persisted harvest"
             );
         }
-        let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+        let mut c =
+            Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
         let line = c.send_raw(&format!("ESTIMATE imdb {PROBE_SQL}")).unwrap();
         assert!(line.starts_with("OK "), "iter {iter}: {line}");
         c.quit().unwrap();

@@ -18,15 +18,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ds_core::builder::SketchBuilder;
 use ds_core::lifecycle::{LifecycleConfig, LifecycleManager};
 use ds_core::store::SketchStore;
 use ds_query::generator::{GeneratorConfig, QueryGenerator};
 use ds_query::sqlgen::to_sql;
 use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, ServeConfig, Server};
+use ds_serve::{Connection, ServeConfig, Server};
 use ds_storage::catalog::Database;
 use ds_storage::gen::{imdb_database, ImdbConfig};
+
+mod common;
+
+use common::tiny_sketch;
 
 /// The injected correlation shift: every observed true cardinality is the
 /// executed count times this factor, so the live model (trained pre-shift)
@@ -34,17 +37,6 @@ use ds_storage::gen::{imdb_database, ImdbConfig};
 const DRIFT_FACTOR: u64 = 64;
 
 const PROBE_SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
-
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
-}
 
 fn drill_lifecycle_config(poison: bool) -> LifecycleConfig {
     LifecycleConfig {
@@ -88,7 +80,7 @@ fn drifted_workload(db: &Database, want: usize) -> Vec<(String, u64)> {
 /// Sends one round of `FEEDBACK` for every drill query. Every line must be
 /// answered (`OK …`, possibly the degraded-free happy path only — any ERR
 /// or BUSY fails the drill).
-fn feedback_round(c: &mut Client, workload: &[(String, u64)]) {
+fn feedback_round(c: &mut Connection, workload: &[(String, u64)]) {
     for (sql, actual) in workload {
         let line = c
             .send_raw(&format!("FEEDBACK imdb {actual} {sql}"))
@@ -100,7 +92,7 @@ fn feedback_round(c: &mut Client, workload: &[(String, u64)]) {
 /// Drives feedback rounds until `done` observes the manager state it
 /// waits for, or the deadline passes.
 fn drive_until(
-    c: &mut Client,
+    c: &mut Connection,
     workload: &[(String, u64)],
     manager: &LifecycleManager,
     what: &str,
@@ -148,7 +140,7 @@ fn drift_is_detected_retrained_shadow_gated_and_hot_swapped() {
     let hammer = {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            let mut c = Client::connect_timeout(addr, Duration::from_secs(30)).unwrap();
+            let mut c = Connection::connect_timeout(addr, Duration::from_secs(30)).unwrap();
             let mut answered = 0u64;
             while !stop.load(Ordering::Relaxed) {
                 let line = c
@@ -162,7 +154,7 @@ fn drift_is_detected_retrained_shadow_gated_and_hot_swapped() {
         })
     };
 
-    let mut c = Client::connect_timeout(addr, Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(addr, Duration::from_secs(30)).unwrap();
     // Drift → advisor fires → candidate trains on the harvested queries.
     drive_until(&mut c, &workload, &manager, "retrain to start", |m| {
         m.counters().retrains_started >= 1
@@ -229,7 +221,7 @@ fn poisoned_candidate_is_rolled_back_with_answers_restored() {
     assert!(manager.poison_armed(), "drill arms the poison hook");
     let workload = drifted_workload(&db, 16);
 
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
     let before = c.send_raw(&format!("ESTIMATE imdb {PROBE_SQL}")).unwrap();
     assert!(before.starts_with("OK "), "pre-drill line: {before}");
 

@@ -4,31 +4,15 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ds_core::builder::SketchBuilder;
 use ds_core::store::SketchStore;
 use ds_query::parser::parse_query;
 use ds_query::workloads::imdb_predicate_columns;
-use ds_serve::{Client, ErrorCode, Response, ServeConfig, Server};
-use ds_storage::catalog::Database;
+use ds_serve::{Connection, ErrorCode, Response, ServeConfig, Server};
 use ds_storage::gen::{imdb_database, ImdbConfig};
 
-fn tiny_sketch(db: &Database, seed: u64) -> ds_core::sketch::DeepSketch {
-    SketchBuilder::new(db, imdb_predicate_columns(db))
-        .training_queries(120)
-        .epochs(2)
-        .sample_size(8)
-        .hidden_units(8)
-        .seed(seed)
-        .build()
-        .expect("tiny sketch")
-}
+mod common;
 
-fn fixture() -> (Arc<Database>, Arc<SketchStore>) {
-    let db = Arc::new(imdb_database(&ImdbConfig::tiny(42)));
-    let store = Arc::new(SketchStore::new());
-    store.insert("imdb", tiny_sketch(&db, 7)).unwrap();
-    (db, store)
-}
+use common::{fixture, tiny_sketch};
 
 const WORKLOAD: &[&str] = &[
     "SELECT COUNT(*) FROM title",
@@ -71,7 +55,7 @@ fn concurrent_coalesced_estimates_match_estimate_one() {
                 let expected = &expected;
                 s.spawn(move || {
                     let mut client =
-                        Client::connect_timeout(addr, Duration::from_secs(60)).unwrap();
+                        Connection::connect_timeout(addr, Duration::from_secs(60)).unwrap();
                     // Each client walks the workload from a different offset
                     // so distinct queries are in flight simultaneously.
                     for k in 0..WORKLOAD.len() {
@@ -112,7 +96,7 @@ fn concurrent_coalesced_estimates_match_estimate_one() {
 fn protocol_commands_and_typed_errors() {
     let (db, store) = fixture();
     let server = Server::start(db, store, ServeConfig::default()).unwrap();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(10)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(10)).unwrap();
 
     // LIST names the sketch and its status.
     match c.list().unwrap() {
@@ -175,7 +159,7 @@ fn zero_deadline_requests_time_out_cleanly() {
             .unwrap(),
     )
     .unwrap();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(10)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(10)).unwrap();
     match c.estimate("imdb", "SELECT COUNT(*) FROM title").unwrap() {
         Response::Error { code, .. } => assert_eq!(code, ErrorCode::Timeout),
         other => panic!("{other:?}"),
@@ -197,12 +181,12 @@ fn connection_cap_sheds_with_busy() {
     )
     .unwrap();
     let addr = server.local_addr();
-    let a = Client::connect_timeout(addr, Duration::from_secs(10)).unwrap();
-    let b = Client::connect_timeout(addr, Duration::from_secs(10)).unwrap();
+    let a = Connection::connect_timeout(addr, Duration::from_secs(10)).unwrap();
+    let b = Connection::connect_timeout(addr, Duration::from_secs(10)).unwrap();
     // The two admitted connections occupy the cap; the third is shed. Give
     // the acceptor a moment to register both.
     std::thread::sleep(Duration::from_millis(100));
-    let mut shed = Client::connect_timeout(addr, Duration::from_secs(10)).unwrap();
+    let mut shed = Connection::connect_timeout(addr, Duration::from_secs(10)).unwrap();
     let line = shed
         .send_raw("LIST")
         .unwrap_or_else(|e| format!("ERR io {e}"));
@@ -276,7 +260,7 @@ fn stats_trace_and_feedback_expose_the_request_timeline() {
             .unwrap(),
     )
     .unwrap();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     // FEEDBACK answers through the same batcher path as ESTIMATE: the
     // returned estimate is bit-identical.
@@ -365,7 +349,7 @@ fn timeline_off_serves_identically_but_records_no_stages() {
             .unwrap(),
     )
     .unwrap();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
     assert!(c.estimate_value("imdb", WORKLOAD[0]).unwrap() >= 1.0);
     assert!(c.trace().unwrap().is_empty());
     let samples = c.stats().unwrap();
@@ -431,7 +415,7 @@ fn injected_drift_fires_and_stationary_feedback_stays_silent() {
     )
     .unwrap();
     let monitors = server.monitors();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     // Phase 1: stationary — actuals from the database the sketch was
     // trained on. The drift detector must stay silent.
@@ -507,7 +491,7 @@ fn estimates_stay_version_consistent_under_store_churn() {
     std::thread::scope(|s| {
         for _ in 0..4 {
             s.spawn(move || {
-                let mut c = Client::connect_timeout(addr, Duration::from_secs(30)).unwrap();
+                let mut c = Connection::connect_timeout(addr, Duration::from_secs(30)).unwrap();
                 for _ in 0..100 {
                     match c.estimate("churn", sql).unwrap() {
                         Response::Estimate(v) => {
@@ -566,7 +550,7 @@ fn shutdown_drains_in_flight_work() {
     .unwrap();
     let addr = server.local_addr();
     let answered = std::thread::spawn(move || {
-        let mut c = Client::connect_timeout(addr, Duration::from_secs(30)).unwrap();
+        let mut c = Connection::connect_timeout(addr, Duration::from_secs(30)).unwrap();
         let mut n = 0;
         for _ in 0..20 {
             if c.estimate_value("imdb", "SELECT COUNT(*) FROM title")

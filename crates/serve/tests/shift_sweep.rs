@@ -28,7 +28,7 @@ use ds_query::shift::{ShiftKind, ShiftSweep, SweepConfig};
 use ds_query::sqlgen::to_sql;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::{GeneratorConfig, QueryGenerator};
-use ds_serve::{Client, ServeConfig, Server};
+use ds_serve::{Connection, ServeConfig, Server};
 use ds_storage::catalog::Database;
 use ds_storage::gen::{imdb_database, ImdbConfig};
 use ds_storage::predicate::PredOpKind;
@@ -50,7 +50,7 @@ fn true_counts(db: &Database, queries: &[Query]) -> Vec<u64> {
 
 /// Grades one sweep point through the server: a `FEEDBACK` line per query
 /// with its true cardinality. Every line must be answered `OK`.
-fn feedback_point(c: &mut Client, db: &Database, queries: &[Query]) {
+fn feedback_point(c: &mut Connection, db: &Database, queries: &[Query]) {
     let counts = true_counts(db, queries);
     for (q, actual) in queries.iter().zip(counts) {
         let line = c
@@ -103,7 +103,7 @@ fn advisor_fires_under_shift_and_stays_silent_when_stationary() {
     )
     .unwrap();
     let monitors = server.monitors();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     let sweep = ShiftSweep::new(&db, drill_columns(&db), 12, 31);
 
@@ -166,7 +166,7 @@ fn v2_sketch_answers_in_like_holdout_within_budget_over_the_wire() {
             .unwrap(),
     )
     .unwrap();
-    let mut c = Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
 
     // Held-out workload from the same extended-operator distribution but a
     // disjoint seed; split into the IN/LIKE-bearing part and the
@@ -182,7 +182,7 @@ fn v2_sketch_answers_in_like_holdout_within_budget_over_the_wire() {
     assert!(ext.len() >= 40, "holdout must carry IN/LIKE: {}", ext.len());
     assert!(cmp.len() >= 40, "holdout must carry cmp: {}", cmp.len());
 
-    let median_qerror = |queries: &[Query], c: &mut Client| -> f64 {
+    let median_qerror = |queries: &[Query], c: &mut Connection| -> f64 {
         let truths = true_counts(&db, queries);
         let mut qs: Vec<f64> = queries
             .iter()

@@ -18,15 +18,15 @@ use ds_core::store::SketchStore;
 use ds_query::sqlgen::to_sql;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::{GeneratorConfig, QueryGenerator};
-use ds_serve::{Client, ServeConfig, Server};
+use ds_serve::{Connection, ServeConfig, Server};
 use ds_storage::catalog::Database;
 use ds_storage::gen::{imdb_database, ImdbConfig};
 use proptest::prelude::*;
 
 struct Fixture {
     db: Arc<Database>,
-    original: Mutex<Client>,
-    reloaded: Mutex<Client>,
+    original: Mutex<Connection>,
+    reloaded: Mutex<Connection>,
 }
 
 /// Two live servers for the whole test process: one holding the freshly
@@ -61,7 +61,7 @@ fn fixture() -> &'static Fixture {
             )
             .unwrap();
             let client =
-                Client::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+                Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
             std::mem::forget(server);
             Mutex::new(client)
         };

@@ -80,7 +80,7 @@ fn main() {
     // One warm-up client exercises the metadata commands through the
     // typed accessors.
     {
-        let mut c = Client::connect(addr).expect("connect");
+        let mut c = Connection::connect(addr).expect("connect");
         if let Response::Text(t) = c.list().expect("LIST") {
             println!("LIST    -> {t}");
         }
@@ -109,7 +109,7 @@ fn main() {
                 let workload = &workload;
                 let local = &local;
                 s.spawn(move || {
-                    let mut c = Client::connect(addr).expect("connect");
+                    let mut c = Connection::connect(addr).expect("connect");
                     let mut bad = 0usize;
                     let mut n = 0usize;
                     for k in 0..workload.len() * 2 {
@@ -142,7 +142,7 @@ fn main() {
     // Walk the observability surface with one typed client while the
     // server is still up, then replay ground truth through FEEDBACK.
     {
-        let mut c = Client::connect(addr).expect("connect");
+        let mut c = Connection::connect(addr).expect("connect");
 
         let snap = c.metrics_snapshot().expect("METRICS");
         assert!(

@@ -82,7 +82,7 @@ pub mod prelude {
     pub use ds_query::workloads::job_light::job_light_workload;
     pub use ds_query::workloads::{imdb_predicate_columns, tpch_predicate_columns};
     pub use ds_serve::{
-        BreakerConfig, Client, FaultInjector, InfoCard, MetricsSnapshot, RequestTimeline,
+        BreakerConfig, Connection, FaultInjector, InfoCard, MetricsSnapshot, RequestTimeline,
         ServeConfig, Server,
     };
     pub use ds_storage::gen::{imdb_database, tpch_database, ImdbConfig, TpchConfig};
