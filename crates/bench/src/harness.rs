@@ -200,10 +200,11 @@ impl std::fmt::Display for Regression {
 
 /// Diffs `current` against `baseline`. A baseline metric regresses when it
 /// is missing from the current run or worse (in its bad direction) by more
-/// than `threshold` (0.25 = tolerate up to 25% worse). Only portable
-/// metrics gate unless `strict` also gates absolute timings. Metrics new
-/// in `current` never fail the gate — they start gating once the baseline
-/// is refreshed.
+/// than `threshold` (0.25 = tolerate up to 25% worse); a lower-is-better
+/// metric whose baseline is zero regresses on any positive value. Only
+/// portable metrics gate unless `strict` also gates absolute timings.
+/// Metrics new in `current` never fail the gate — they start gating once
+/// the baseline is refreshed.
 pub fn compare(
     baseline: &BenchReport,
     current: &BenchReport,
@@ -223,11 +224,20 @@ pub fn compare(
             });
             continue;
         };
-        if !base.value.is_finite() || !cur.value.is_finite() || base.value == 0.0 {
+        if !base.value.is_finite() || !cur.value.is_finite() {
             // Nothing sane to ratio against; presence is the only gate.
             continue;
         }
-        let worse_frac = if base.higher_is_better {
+        let worse_frac = if base.value == 0.0 {
+            // A zero baseline has no scale to ratio against. For a
+            // lower-is-better count (failures, lost generations) any
+            // positive value is infinitely worse; otherwise presence is
+            // the only gate.
+            if base.higher_is_better || cur.value <= 0.0 {
+                continue;
+            }
+            f64::INFINITY
+        } else if base.higher_is_better {
             (base.value - cur.value) / base.value.abs()
         } else {
             (cur.value - base.value) / base.value.abs()
@@ -313,6 +323,30 @@ mod tests {
             ("train/total_secs", 10.0, false, false),
         ]);
         assert_eq!(compare(&baseline, &worse, 0.25, false).len(), 1);
+    }
+
+    #[test]
+    fn zero_baseline_gates_lower_is_better_counts() {
+        let baseline = report(&[
+            ("fleet/chaos_failed_forever", 0.0, false, true),
+            ("fleet/zero_rate", 0.0, true, true),
+        ]);
+        let clean = report(&[
+            ("fleet/chaos_failed_forever", 0.0, false, true),
+            ("fleet/zero_rate", 0.0, true, true),
+        ]);
+        assert!(compare(&baseline, &clean, 0.25, false).is_empty());
+        let failed = report(&[
+            ("fleet/chaos_failed_forever", 1.0, false, true),
+            ("fleet/zero_rate", 5.0, true, true),
+        ]);
+        let regs = compare(&baseline, &failed, 0.25, false);
+        assert_eq!(regs.len(), 1, "{regs:?}");
+        assert_eq!(regs[0].name, "fleet/chaos_failed_forever");
+        assert!(matches!(
+            regs[0].kind,
+            RegressionKind::Worse { worse_frac, .. } if worse_frac.is_infinite()
+        ));
     }
 
     #[test]

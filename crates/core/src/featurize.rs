@@ -320,11 +320,14 @@ impl Featurizer {
     }
 
     /// Featurizes one query. `samples` must be the database-wide sample
-    /// vector (indexed by table id) the sketch ships.
+    /// vector (indexed by table id) the sketch ships. Each set is emitted
+    /// in canonical order ([`Query::canonical_sets`]), so the pooled
+    /// features do not depend on how the query lists its clauses.
     pub fn featurize(&self, query: &Query, samples: &[TableSample]) -> QueryFeatures {
+        let sets = query.canonical_sets();
         // Table set.
-        let mut table_rows = Vec::with_capacity(query.tables.len());
-        for &t in &query.tables {
+        let mut table_rows = Vec::with_capacity(sets.tables.len());
+        for &t in &sets.tables {
             let mut row = vec![0.0f32; self.table_dim()];
             if t.0 < self.num_tables {
                 row[t.0] = 1.0;
@@ -342,10 +345,10 @@ impl Featurizer {
         }
 
         // Join set.
-        let mut join_rows = Vec::with_capacity(query.joins.len());
-        for j in &query.joins {
+        let mut join_rows = Vec::with_capacity(sets.joins.len());
+        for j in &sets.joins {
             let mut row = vec![0.0f32; self.join_dim()];
-            if let Some(&idx) = self.join_index.get(&j.canonical()) {
+            if let Some(&idx) = self.join_index.get(j) {
                 row[idx] = 1.0;
             }
             join_rows.push(row);
@@ -353,8 +356,8 @@ impl Featurizer {
 
         // Predicate set.
         let nc = self.columns.len();
-        let mut pred_rows = Vec::with_capacity(query.predicates.len());
-        for (cr, p) in query.qualified_predicates() {
+        let mut pred_rows = Vec::with_capacity(sets.predicates.len());
+        for (cr, p) in sets.qualified_predicates() {
             let mut row = vec![0.0f32; self.pred_dim()];
             let idx = self.col_index.get(&cr).copied();
             if let Some(i) = idx {
@@ -401,9 +404,9 @@ impl Featurizer {
 
     /// Featurizes one query as sparse index lists for the fused frozen
     /// forward path — the exact same active `(index, value)` pairs as
-    /// [`Featurizer::featurize`], pushed in ascending index order per
-    /// element, without ever materializing the dense one-hot rows. Reuses
-    /// `out`'s buffers, so a serving loop allocates nothing per query.
+    /// [`Featurizer::featurize`], in the same canonical element order and
+    /// ascending index order per element, without ever materializing the
+    /// dense one-hot rows. Reuses `out`'s buffers across queries.
     pub fn featurize_indices(
         &self,
         query: &Query,
@@ -413,9 +416,10 @@ impl Featurizer {
         out.tables.clear();
         out.joins.clear();
         out.preds.clear();
+        let sets = query.canonical_sets();
 
         // Table set: one-hot(table) then the bitmap tail (ascending).
-        for &t in &query.tables {
+        for &t in &sets.tables {
             let start = out.tables.begin_elem();
             if t.0 < self.num_tables {
                 out.tables.push(t.0 as u32, 1.0);
@@ -434,9 +438,9 @@ impl Featurizer {
 
         // Join set: a single one-hot, or an all-zero element for joins
         // outside the vocabulary.
-        for j in &query.joins {
+        for j in &sets.joins {
             let start = out.joins.begin_elem();
-            if let Some(&idx) = self.join_index.get(&j.canonical()) {
+            if let Some(&idx) = self.join_index.get(j) {
                 out.joins.push(idx as u32, 1.0);
             }
             out.joins.finish_elem(start);
@@ -445,7 +449,7 @@ impl Featurizer {
         // Predicate set: one-hot(col), one-hot(op), scalar slots, and (v2)
         // the per-predicate bitmap tail — ascending index order.
         let nc = self.columns.len();
-        for (cr, p) in query.qualified_predicates() {
+        for (cr, p) in sets.qualified_predicates() {
             let start = out.preds.begin_elem();
             let idx = self.col_index.get(&cr).copied();
             if let Some(i) = idx {

@@ -63,7 +63,7 @@ use crate::metrics::qerror;
 use crate::monitor::{baseline_from_qerrors, MonitorRegistry};
 use crate::mscn::{MscnConfig, MscnModel};
 use crate::sketch::{DeepSketch, FREEZE_GATE_MAX_DELTA};
-use crate::snapshot::{checksum, valid_snapshot_name, SnapshotError};
+use crate::snapshot::{open_frame, put_str, put_u64, seal, valid_snapshot_name, SnapshotError};
 use crate::store::SketchStore;
 use crate::train::{train, LossKind, TrainConfig};
 
@@ -223,8 +223,7 @@ impl HarvestSet {
             put_u64(&mut buf, e.actual);
             put_u64(&mut buf, e.seq);
         }
-        let sum = checksum(&buf);
-        put_u64(&mut buf, sum);
+        seal(&mut buf);
         buf
     }
 
@@ -235,26 +234,8 @@ impl HarvestSet {
     /// arbitrary input. When the file holds more than `capacity` entries
     /// the newest `capacity` survive.
     pub fn decode(bytes: &[u8], capacity: usize) -> Result<Self, SnapshotError> {
-        if bytes.len() < 4 + 4 + 8 + 8 {
-            return Err(SnapshotError::Truncated);
-        }
-        if bytes[..4] != HARVEST_MAGIC {
-            return Err(SnapshotError::BadMagic);
-        }
-        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if version == 0 || version > HARVEST_VERSION {
-            return Err(SnapshotError::BadVersion(version));
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        let actual_sum = checksum(body);
-        if stored != actual_sum {
-            return Err(SnapshotError::ChecksumMismatch {
-                stored,
-                actual: actual_sum,
-            });
-        }
-        let mut cur = Cursor { buf: &body[8..] };
+        // Header, entry count and checksum trailer: the smallest file.
+        let mut cur = open_frame(bytes, HARVEST_MAGIC, HARVEST_VERSION, 4 + 4 + 8 + 8)?;
         let count = cur.bounded_len(MAX_HARVEST_ENTRIES, "harvest entry count")?;
         let mut set = Self::new(capacity.max(1));
         let mut last_seq: Option<u64> = None;
@@ -282,10 +263,10 @@ impl HarvestSet {
                 return Err(SnapshotError::Corrupt("duplicate harvest key".to_string()));
             }
         }
-        if !cur.buf.is_empty() {
+        if cur.remaining() > 0 {
             return Err(SnapshotError::Corrupt(format!(
                 "{} trailing bytes after harvest entries",
-                cur.buf.len()
+                cur.remaining()
             )));
         }
         set.next_seq = last_seq.map_or(0, |s| s + 1);
@@ -339,54 +320,6 @@ impl HarvestSet {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(SnapshotError::Io(e)),
         }
-    }
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u64(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked reader over untrusted harvest bytes (the snapshot
-/// module's cursor is private to it; the discipline is identical).
-struct Cursor<'a> {
-    buf: &'a [u8],
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.buf.len() < n {
-            return Err(SnapshotError::Truncated);
-        }
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        Ok(head)
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn bounded_len(&mut self, cap: u64, what: &str) -> Result<usize, SnapshotError> {
-        let n = self.u64()?;
-        if n > cap {
-            return Err(SnapshotError::Corrupt(format!(
-                "{what} length {n} too large"
-            )));
-        }
-        Ok(n as usize)
-    }
-
-    fn string(&mut self, cap: u64, what: &str) -> Result<String, SnapshotError> {
-        let n = self.bounded_len(cap, what)?;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| SnapshotError::Corrupt(format!("{what} is not UTF-8")))
     }
 }
 
@@ -1280,6 +1213,7 @@ fn poisoned_clone(candidate: &DeepSketch) -> DeepSketch {
 mod tests {
     use super::*;
     use crate::builder::SketchBuilder;
+    use crate::snapshot::checksum;
     use ds_query::sqlgen::to_sql;
     use ds_query::workloads::imdb_predicate_columns;
     use ds_query::{GeneratorConfig, QueryGenerator};

@@ -869,6 +869,45 @@ mod tests {
     }
 
     #[test]
+    fn estimates_are_invariant_under_set_permutation() {
+        // Tables, joins and predicates are sets: listing them in another
+        // order must not change a single bit of the estimate, on the fused
+        // path (`estimate_one`) or the reference path (`estimate_batch`).
+        let db = imdb_database(&ImdbConfig::tiny(42));
+        let sketch = SketchBuilder::new(&db, imdb_predicate_columns(&db))
+            .training_queries(120)
+            .epochs(2)
+            .sample_size(8)
+            .hidden_units(8)
+            .seed(7)
+            .build()
+            .expect("build sketch");
+        for seed in 0..5 {
+            let queries = ds_query::workloads::job_light::job_light_workload(&db, seed);
+            let permuted: Vec<Query> = queries
+                .iter()
+                .map(|q| {
+                    let mut p = q.clone();
+                    p.tables.reverse();
+                    p.joins.reverse();
+                    p.predicates.reverse();
+                    p
+                })
+                .collect();
+            let reference = sketch.estimate_batch(&queries);
+            assert_eq!(sketch.estimate_batch(&permuted), reference, "seed {seed}");
+            for ((q, p), r) in queries.iter().zip(&permuted).zip(&reference) {
+                assert_eq!(sketch.estimate_one(q).to_bits(), r.to_bits());
+                assert_eq!(
+                    sketch.estimate_one(p).to_bits(),
+                    r.to_bits(),
+                    "seed {seed}: {q:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn estimate_batch_is_exactly_the_looped_estimates() {
         // The batched serving path (chunked, optionally threaded) must
         // return *exactly* `queries.iter().map(|q| estimate_one(q))` —

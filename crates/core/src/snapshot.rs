@@ -219,11 +219,14 @@ pub struct SketchSnapshot {
     pub monitor: Option<MonitorState>,
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
+// The codec below is shared by every checksummed frame this crate writes:
+// `DSNP` snapshots here and `DSHV` harvest sets in `lifecycle`.
+
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u64(buf, s.len() as u64);
     buf.extend_from_slice(s.as_bytes());
 }
@@ -263,13 +266,48 @@ pub fn encode_snapshot(
             }
         }
     }
-    let sum = checksum(&buf);
-    put_u64(&mut buf, sum);
+    seal(&mut buf);
     buf
 }
 
-/// Bounded little-endian reader over the snapshot body.
-struct Cursor<'a> {
+/// Appends the FNV-1a-64 checksum trailer over everything in `buf`.
+pub(crate) fn seal(buf: &mut Vec<u8>) {
+    let sum = checksum(buf);
+    put_u64(buf, sum);
+}
+
+/// Validates a checksummed frame — `magic | version u32 | body | FNV-1a-64
+/// trailer` — and returns a cursor over its body. Checks run in a fixed
+/// order: fewer than `min_len` bytes is [`SnapshotError::Truncated`], then
+/// the magic, then a version outside `1..=max_version`, then the trailer.
+pub(crate) fn open_frame(
+    bytes: &[u8],
+    magic: [u8; 4],
+    max_version: u32,
+    min_len: usize,
+) -> Result<Cursor<'_>, SnapshotError> {
+    if bytes.len() < min_len.max(4 + 4 + 8) {
+        return Err(SnapshotError::Truncated);
+    }
+    if bytes[..4] != magic {
+        return Err(SnapshotError::BadMagic);
+    }
+    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    if version == 0 || version > max_version {
+        return Err(SnapshotError::BadVersion(version));
+    }
+    let (body, trailer) = bytes.split_at(bytes.len() - 8);
+    let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
+    let actual = checksum(body);
+    if stored != actual {
+        return Err(SnapshotError::ChecksumMismatch { stored, actual });
+    }
+    Ok(Cursor { buf: &body[8..] })
+}
+
+/// Bounded little-endian reader over untrusted frame bytes: every length
+/// is checked against a cap before anything is allocated.
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
 }
 
@@ -283,13 +321,13 @@ impl<'a> Cursor<'a> {
         Ok(head)
     }
 
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
+    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
 
-    fn bounded_len(&mut self, cap: u64, what: &str) -> Result<usize, SnapshotError> {
+    pub(crate) fn bounded_len(&mut self, cap: u64, what: &str) -> Result<usize, SnapshotError> {
         let n = self.u64()?;
         if n > cap {
             return Err(SnapshotError::Corrupt(format!(
@@ -299,8 +337,8 @@ impl<'a> Cursor<'a> {
         Ok(n as usize)
     }
 
-    fn string(&mut self, what: &str) -> Result<String, SnapshotError> {
-        let n = self.bounded_len(MAX_NAME_LEN, what)?;
+    pub(crate) fn string(&mut self, cap: u64, what: &str) -> Result<String, SnapshotError> {
+        let n = self.bounded_len(cap, what)?;
         String::from_utf8(self.take(n)?.to_vec())
             .map_err(|_| SnapshotError::Corrupt(format!("{what} is not UTF-8")))
     }
@@ -313,6 +351,11 @@ impl<'a> Cursor<'a> {
             .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
             .collect())
     }
+
+    /// Bytes not yet read.
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len()
+    }
 }
 
 /// Decodes and fully validates a snapshot. Corruption anywhere — header,
@@ -320,24 +363,8 @@ impl<'a> Cursor<'a> {
 /// function never panics on arbitrary input.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SketchSnapshot, SnapshotError> {
     // Header + checksum trailer are the minimum plausible file.
-    if bytes.len() < 4 + 4 + 8 {
-        return Err(SnapshotError::Truncated);
-    }
-    if bytes[..4] != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version == 0 || version > SNAPSHOT_VERSION {
-        return Err(SnapshotError::BadVersion(version));
-    }
-    let (body, trailer) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-    let actual = checksum(body);
-    if stored != actual {
-        return Err(SnapshotError::ChecksumMismatch { stored, actual });
-    }
-    let mut c = Cursor { buf: &body[8..] };
-    let name = c.string("sketch name")?;
+    let mut c = open_frame(bytes, SNAPSHOT_MAGIC, SNAPSHOT_VERSION, 4 + 4 + 8)?;
+    let name = c.string(MAX_NAME_LEN, "sketch name")?;
     if !valid_snapshot_name(&name) {
         return Err(SnapshotError::Corrupt(format!(
             "invalid sketch name '{name}'"
@@ -354,7 +381,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SketchSnapshot, SnapshotError> {
             let n = c.bounded_len(MAX_TEMPLATES, "template count")?;
             let mut templates = Vec::with_capacity(n);
             for _ in 0..n {
-                let template = c.string("template name")?;
+                let template = c.string(MAX_NAME_LEN, "template name")?;
                 let words = c.words("template window")?;
                 templates.push((template, words));
             }
@@ -364,10 +391,10 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SketchSnapshot, SnapshotError> {
             return Err(SnapshotError::Corrupt(format!("bad monitor flag {other}")));
         }
     };
-    if !c.buf.is_empty() {
+    if c.remaining() > 0 {
         return Err(SnapshotError::Corrupt(format!(
             "{} trailing bytes after snapshot body",
-            c.buf.len()
+            c.remaining()
         )));
     }
     Ok(SketchSnapshot {

@@ -2,15 +2,18 @@
 //!
 //! MSCN reads a query as three unordered *sets* — tables, joins and
 //! predicates — so clause order, aliasing and join direction carry no
-//! meaning. [`CanonicalQuery`] is the one place that erases them. Every
-//! serving-side identity of a query derives from it: the estimate-cache
-//! key, the template interner key, the drift-monitor label and the
-//! harvest dedupe key.
+//! meaning. [`CanonicalSets`] is the one place that erases them, and
+//! [`CanonicalQuery`] is built on it. Every serving-side identity of a
+//! query derives from the canonical form: the estimate-cache key, the
+//! template interner key, the drift-monitor label and the harvest dedupe
+//! key. The featurizer reads the same [`CanonicalSets`], so a sketch's
+//! estimate is a function of the canonical form too.
 
 use std::fmt::Write as _;
 
 use ds_storage::catalog::{ColRef, Database, TableId};
-use ds_storage::predicate::{PredOpKind, PredTest};
+use ds_storage::exec::JoinEdge;
+use ds_storage::predicate::{ColPredicate, PredOpKind, PredTest};
 
 use crate::query::Query;
 
@@ -36,6 +39,35 @@ pub struct CanonicalQuery {
     literals: Vec<i64>,
 }
 
+/// A query's three sets in canonical order: the one ordering rule that
+/// [`CanonicalQuery`] and the featurizer share. Pooling a set sums f32
+/// feature rows, and f32 sums depend on order, so a sketch featurizes
+/// through this view to make its estimate a function of the canonical form
+/// alone.
+///
+/// Tables ascend by id. Joins are direction-normalized
+/// ([`JoinEdge::canonical`]) and ascend by `(table, col, table, col)`.
+/// Predicates ascend by `(table, col, op, literals)`.
+#[derive(Debug, Clone)]
+pub struct CanonicalSets<'a> {
+    /// Table ids, ascending.
+    pub tables: Vec<TableId>,
+    /// Direction-normalized join edges, ascending.
+    pub joins: Vec<JoinEdge>,
+    /// The query's predicates, ascending by `(table, col, op, literals)`.
+    pub predicates: Vec<&'a (TableId, ColPredicate)>,
+}
+
+impl CanonicalSets<'_> {
+    /// The predicates with fully-qualified column references, in
+    /// canonical order.
+    pub fn qualified_predicates(&self) -> impl Iterator<Item = (ColRef, &ColPredicate)> + '_ {
+        self.predicates
+            .iter()
+            .map(|(t, p)| (ColRef::new(*t, p.col), p))
+    }
+}
+
 /// A predicate's literals as its sort key. Predicates compare by op before
 /// literals, so only same-kind variants are ever compared; `Bytes` orders
 /// exactly like the byte values widened to `i64`.
@@ -46,44 +78,58 @@ enum Lits<'a> {
     Bytes(&'a [u8]),
 }
 
+/// A predicate's sort key: its `(table, col, op)` triple, then its
+/// literals.
+fn pred_key((t, p): &(TableId, ColPredicate)) -> ([u32; 3], Lits<'_>) {
+    let lits = match &p.test {
+        PredTest::Cmp(_, v) => Lits::One(*v),
+        PredTest::In(values) => Lits::List(values),
+        PredTest::Like(pat) => Lits::Bytes(pat.as_str().as_bytes()),
+    };
+    let op = p.op_kind().index() as u32;
+    ([t.0 as u32, p.col as u32, op], lits)
+}
+
+/// A join edge's sort key once direction-normalized.
+fn join_words(j: &JoinEdge) -> [u32; 4] {
+    let (l, r) = (j.left, j.right);
+    [l.table.0, l.col, r.table.0, r.col].map(|w| w as u32)
+}
+
 impl Query {
+    /// The query's sets in canonical order. See [`CanonicalSets`].
+    pub fn canonical_sets(&self) -> CanonicalSets<'_> {
+        let mut tables = self.tables.clone();
+        tables.sort_unstable();
+        let mut joins: Vec<JoinEdge> = self.joins.iter().map(JoinEdge::canonical).collect();
+        joins.sort_unstable_by_key(join_words);
+        let mut predicates: Vec<&(TableId, ColPredicate)> = self.predicates.iter().collect();
+        predicates.sort_unstable_by(|a, b| pred_key(a).cmp(&pred_key(b)));
+        CanonicalSets {
+            tables,
+            joins,
+            predicates,
+        }
+    }
+
     /// The query's canonical form. See [`CanonicalQuery`].
     pub fn canonical(&self) -> CanonicalQuery {
-        let mut tables: Vec<u32> = self.tables.iter().map(|t| t.0 as u32).collect();
-        tables.sort_unstable();
-        let mut joins: Vec<[u32; 4]> = self
-            .joins
-            .iter()
-            .map(|j| {
-                let j = j.canonical();
-                let (l, r) = (j.left, j.right);
-                [l.table.0, l.col, r.table.0, r.col].map(|w| w as u32)
-            })
-            .collect();
-        joins.sort_unstable();
-        let mut preds: Vec<([u32; 3], Lits<'_>)> = self
-            .predicates
-            .iter()
-            .map(|(t, p)| {
-                let lits = match &p.test {
-                    PredTest::Cmp(_, v) => Lits::One(*v),
-                    PredTest::In(values) => Lits::List(values),
-                    PredTest::Like(pat) => Lits::Bytes(pat.as_str().as_bytes()),
-                };
-                let op = p.op_kind().index() as u32;
-                ([t.0 as u32, p.col as u32, op], lits)
-            })
-            .collect();
-        preds.sort_unstable();
-        let mut template = Vec::with_capacity(2 + tables.len() + 4 * joins.len() + 3 * preds.len());
+        let CanonicalSets {
+            tables,
+            joins,
+            predicates,
+        } = self.canonical_sets();
+        let mut template =
+            Vec::with_capacity(2 + tables.len() + 4 * joins.len() + 3 * predicates.len());
         template.push(tables.len() as u32);
-        template.extend_from_slice(&tables);
+        template.extend(tables.iter().map(|t| t.0 as u32));
         template.push(joins.len() as u32);
-        template.extend(joins.iter().flatten());
-        let mut literals = Vec::with_capacity(preds.len());
-        for (triple, lits) in &preds {
-            template.extend_from_slice(triple);
-            match *lits {
+        template.extend(joins.iter().flat_map(join_words));
+        let mut literals = Vec::with_capacity(predicates.len());
+        for pred in predicates {
+            let (triple, lits) = pred_key(pred);
+            template.extend_from_slice(&triple);
+            match lits {
                 Lits::One(v) => literals.push(v),
                 Lits::List(values) => {
                     literals.push(values.len() as i64);

@@ -14,7 +14,7 @@ pub mod shift;
 pub mod sqlgen;
 pub mod workloads;
 
-pub use canonical::CanonicalQuery;
+pub use canonical::{CanonicalQuery, CanonicalSets};
 pub use generator::{GeneratorConfig, QueryGenerator};
 pub use graph::JoinGraph;
 pub use parser::{parse_query, ParseError};

@@ -6,9 +6,9 @@
 //! Design:
 //!
 //! * A bounded admission queue guards the workers. When it is full,
-//!   [`Batcher::submit`] fails fast with [`Rejection::Busy`] — the caller
-//!   sheds the request with a `BUSY` response instead of queueing an
-//!   unbounded backlog.
+//!   [`Batcher::estimate_with_trace`] fails fast with [`Rejection::Busy`]
+//!   — the caller sheds the request with a `BUSY` response instead of
+//!   queueing an unbounded backlog.
 //! * Worker threads pop the oldest job, then sweep the queue for every
 //!   other job aimed at the *same estimator instance* (up to `max_batch`)
 //!   and run them as one batch. Under concurrency the batch forms
@@ -92,14 +92,14 @@ impl Default for BatcherConfig {
     }
 }
 
-/// Monotonic stamps marking where a job's time went, taken by `submit`
-/// and the batch worker. The server stitches them into the request
+/// Monotonic stamps marking where a job's time went, taken at admission
+/// and by the batch worker. The server stitches them into the request
 /// timeline (parse → queue-wait → batch-wait → forward → write); the
 /// stamps are strictly ordered, so consecutive differences are the stage
 /// durations and they sum to the span they cover by construction.
 #[derive(Debug, Clone, Copy)]
 pub struct StageStamps {
-    /// When `submit` placed the job in the admission queue.
+    /// When the job entered the admission queue.
     pub enqueued: Instant,
     /// When a worker swept the job out of the queue into a batch.
     pub dequeued: Instant,
@@ -116,12 +116,11 @@ pub struct StageStamps {
 
 /// One finished job as delivered on the response channel: the estimate
 /// (or error) plus its stage stamps.
-#[derive(Debug)]
-pub struct Completed {
+struct Completed {
     /// The estimator's answer for this job's query.
-    pub result: Result<f64, EstimateError>,
+    result: Result<f64, EstimateError>,
     /// Where the job's time went.
-    pub stamps: StageStamps,
+    stamps: StageStamps,
 }
 
 struct Job {
@@ -129,9 +128,9 @@ struct Job {
     /// (unique per insert/swap for the store's lifetime), so a background
     /// retraining swap can never mix models inside one batch — even if the
     /// allocator reuses a freed sketch's address for its replacement, the
-    /// generations differ. Keyless submitters get the estimator's address;
-    /// the worker sweep additionally requires [`Arc::ptr_eq`] so an
-    /// address-reuse collision between the two key spaces is harmless.
+    /// generations differ. The worker sweep additionally requires
+    /// [`Arc::ptr_eq`], so two estimators submitted under one key never
+    /// share a forward pass.
     key: u64,
     estimator: SharedEstimator,
     query: Query,
@@ -213,35 +212,47 @@ impl Batcher {
         Self { inner, workers }
     }
 
-    /// Enqueues one estimate without blocking, keyed by the estimator
-    /// instance's address. Prefer [`Batcher::submit_keyed`] with a store
-    /// generation when one is available — addresses can be reused across a
-    /// drop/replace, generations cannot.
-    pub fn submit(
-        &self,
-        estimator: SharedEstimator,
-        query: Query,
-    ) -> Result<Receiver<Completed>, Rejection> {
-        let key = Arc::as_ptr(&estimator) as *const () as usize as u64;
-        self.submit_keyed(key, estimator, query)
-    }
-
-    /// Enqueues one estimate under a caller-supplied coalescing key (the
-    /// server uses the sketch's store generation). Returns the receiver the
-    /// result will arrive on, or sheds immediately when the queue is full.
-    pub fn submit_keyed(
+    /// Submits one estimate and waits for it, enforcing the configured
+    /// per-request timeout. `key` is the coalescing key (the server passes
+    /// the sketch's store generation); `trace` is the request's trace
+    /// context, if any. Returns the estimate with the job's stage stamps,
+    /// or sheds immediately with [`Rejection::Busy`] when the queue is full.
+    pub fn estimate_with_trace(
         &self,
         key: u64,
         estimator: SharedEstimator,
         query: Query,
-    ) -> Result<Receiver<Completed>, Rejection> {
-        self.submit_with_trace(key, estimator, query, None)
+        trace: Option<TraceContext>,
+    ) -> Result<(f64, StageStamps), Rejection> {
+        let rx = self.submit(key, estimator, query, trace)?;
+        match rx.recv_timeout(self.inner.cfg.request_timeout) {
+            Ok(Completed {
+                result: Ok(v),
+                stamps,
+            }) => Ok((v, stamps)),
+            Ok(Completed { result: Err(e), .. }) => Err(Rejection::Estimate(e)),
+            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
+                self.inner.metrics.record_timeout();
+                Err(Rejection::Timeout)
+            }
+        }
     }
 
-    /// [`Batcher::submit_keyed`] carrying the request's trace context.
-    /// A batch containing at least one traced job mints a shared batch
-    /// span id, returned to every job via [`StageStamps::batch_span`].
-    pub fn submit_with_trace(
+    /// [`Batcher::estimate_with_trace`] for an untraced request.
+    pub fn estimate_traced_keyed(
+        &self,
+        key: u64,
+        estimator: SharedEstimator,
+        query: Query,
+    ) -> Result<(f64, StageStamps), Rejection> {
+        self.estimate_with_trace(key, estimator, query, None)
+    }
+
+    /// Enqueues one estimate without blocking and returns the receiver its
+    /// result will arrive on. A batch containing at least one traced job
+    /// mints a shared batch span id, returned to every job via
+    /// [`StageStamps::batch_span`].
+    fn submit(
         &self,
         key: u64,
         estimator: SharedEstimator,
@@ -272,56 +283,6 @@ impl Batcher {
         drop(st);
         self.inner.work_ready.notify_one();
         Ok(rx)
-    }
-
-    /// Submits and waits for the result, enforcing the configured
-    /// per-request timeout.
-    pub fn estimate(&self, estimator: SharedEstimator, query: Query) -> Result<f64, Rejection> {
-        self.estimate_traced(estimator, query).map(|(v, _)| v)
-    }
-
-    /// Like [`Batcher::estimate`], but also returns the job's stage stamps
-    /// so the caller can attribute the latency.
-    pub fn estimate_traced(
-        &self,
-        estimator: SharedEstimator,
-        query: Query,
-    ) -> Result<(f64, StageStamps), Rejection> {
-        let key = Arc::as_ptr(&estimator) as *const () as usize as u64;
-        self.estimate_traced_keyed(key, estimator, query)
-    }
-
-    /// [`Batcher::estimate_traced`] under a caller-supplied coalescing key.
-    pub fn estimate_traced_keyed(
-        &self,
-        key: u64,
-        estimator: SharedEstimator,
-        query: Query,
-    ) -> Result<(f64, StageStamps), Rejection> {
-        self.estimate_with_trace(key, estimator, query, None)
-    }
-
-    /// [`Batcher::estimate_traced_keyed`] carrying the request's trace
-    /// context into the batch (see [`Batcher::submit_with_trace`]).
-    pub fn estimate_with_trace(
-        &self,
-        key: u64,
-        estimator: SharedEstimator,
-        query: Query,
-        trace: Option<TraceContext>,
-    ) -> Result<(f64, StageStamps), Rejection> {
-        let rx = self.submit_with_trace(key, estimator, query, trace)?;
-        match rx.recv_timeout(self.inner.cfg.request_timeout) {
-            Ok(Completed {
-                result: Ok(v),
-                stamps,
-            }) => Ok((v, stamps)),
-            Ok(Completed { result: Err(e), .. }) => Err(Rejection::Estimate(e)),
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {
-                self.inner.metrics.record_timeout();
-                Err(Rejection::Timeout)
-            }
-        }
     }
 
     /// Current admission-queue length.
@@ -376,9 +337,8 @@ fn worker_loop(inner: &Inner) {
             let mut batch = vec![first];
             // Sweep the queue for jobs on the same estimator instance. The
             // key match is the intent ("same model version"); the pointer
-            // check is the guarantee — two jobs whose keys collide across
-            // key spaces (address-derived vs generation-derived) can never
-            // hand different models to one forward pass.
+            // check is the guarantee — two jobs whose keys collide can
+            // never hand different models to one forward pass.
             let mut i = 0;
             while batch.len() < inner.cfg.max_batch && i < st.queue.len() {
                 if st.queue[i].key == batch[0].key
@@ -504,7 +464,12 @@ mod tests {
                     let est = Arc::clone(&est);
                     let batcher = &batcher;
                     let q = q.clone();
-                    s.spawn(move || batcher.estimate(est, q).expect("estimate"))
+                    s.spawn(move || {
+                        batcher
+                            .estimate_traced_keyed(1, est, q)
+                            .expect("estimate")
+                            .0
+                    })
                 })
                 .collect();
             for (h, q) in handles.into_iter().zip(&qs) {
@@ -538,10 +503,12 @@ mod tests {
             Arc::clone(&metrics),
         );
         // One slow job occupies the worker; then fill the queue.
-        let mut receivers = vec![batcher.submit(Arc::clone(&est), Query::new()).unwrap()];
+        let mut receivers = vec![batcher
+            .submit(1, Arc::clone(&est), Query::new(), None)
+            .unwrap()];
         let mut shed = 0;
         for _ in 0..16 {
-            match batcher.submit(Arc::clone(&est), Query::new()) {
+            match batcher.submit(1, Arc::clone(&est), Query::new(), None) {
                 Ok(rx) => receivers.push(rx),
                 Err(Rejection::Busy { .. }) => shed += 1,
                 Err(other) => panic!("unexpected rejection {other:?}"),
@@ -565,7 +532,7 @@ mod tests {
         let batcher = Batcher::new(BatcherConfig::default(), Arc::new(Metrics::new()));
         let before = Instant::now();
         let (v, stamps) = batcher
-            .estimate_traced(Arc::clone(&est), Query::new())
+            .estimate_traced_keyed(1, Arc::clone(&est), Query::new())
             .expect("estimate");
         assert_eq!(v, 1.0);
         assert!(stamps.enqueued >= before);
@@ -596,8 +563,12 @@ mod tests {
         let t0 = Instant::now();
         // First request occupies the worker for 300ms; the second cannot
         // start before its 30ms deadline and must time out.
-        let _first = batcher.submit(Arc::clone(&est), Query::new()).unwrap();
-        let second = batcher.estimate(Arc::clone(&est), Query::new());
+        let _first = batcher
+            .submit(1, Arc::clone(&est), Query::new(), None)
+            .unwrap();
+        let second = batcher
+            .estimate_traced_keyed(1, Arc::clone(&est), Query::new())
+            .map(|(v, _)| v);
         assert_eq!(second, Err(Rejection::Timeout));
         assert!(
             t0.elapsed() < Duration::from_millis(250),
@@ -631,9 +602,16 @@ mod tests {
         let batcher = Batcher::new(BatcherConfig::default(), Arc::new(Metrics::new()));
         let mut ok_query = Query::new();
         ok_query.tables.push(ds_storage::catalog::TableId(0));
-        assert_eq!(batcher.estimate(Arc::clone(&est), ok_query), Ok(7.0));
         assert_eq!(
-            batcher.estimate(Arc::clone(&est), Query::new()),
+            batcher
+                .estimate_traced_keyed(1, Arc::clone(&est), ok_query)
+                .map(|(v, _)| v),
+            Ok(7.0)
+        );
+        assert_eq!(
+            batcher
+                .estimate_traced_keyed(1, Arc::clone(&est), Query::new())
+                .map(|(v, _)| v),
             Err(Rejection::Estimate(EstimateError::Unroutable {
                 tables: vec![]
             }))
@@ -671,7 +649,9 @@ mod tests {
                     let expected = if i % 2 == 0 { 100.0 } else { 200.0 };
                     let batcher = &batcher;
                     s.spawn(move || {
-                        let got = batcher.estimate(est, Query::new()).expect("estimate");
+                        let (got, _) = batcher
+                            .estimate_traced_keyed(i % 2, est, Query::new())
+                            .expect("estimate");
                         assert_eq!(got, expected);
                     })
                 })
@@ -716,7 +696,7 @@ mod tests {
                     let expected = if i % 2 == 0 { 100.0 } else { 200.0 };
                     let batcher = &batcher;
                     s.spawn(move || {
-                        let rx = batcher.submit_keyed(7, est, Query::new()).expect("submit");
+                        let rx = batcher.submit(7, est, Query::new(), None).expect("submit");
                         let got = rx.recv().expect("result").result.expect("estimate");
                         assert_eq!(got, expected);
                     })
@@ -743,7 +723,12 @@ mod tests {
             Some(Arc::clone(&faults)),
         );
         let t0 = Instant::now();
-        assert_eq!(batcher.estimate(Arc::clone(&est), Query::new()), Ok(1.0));
+        assert_eq!(
+            batcher
+                .estimate_traced_keyed(1, Arc::clone(&est), Query::new())
+                .map(|(v, _)| v),
+            Ok(1.0)
+        );
         if crate::faults::FaultInjector::armed() {
             assert!(
                 t0.elapsed() >= Duration::from_millis(40),
@@ -763,7 +748,7 @@ mod tests {
         let batcher = Batcher::new(BatcherConfig::default(), Arc::new(Metrics::new()));
         // Untraced job: no batch span.
         let (_, stamps) = batcher
-            .estimate_traced(Arc::clone(&est), Query::new())
+            .estimate_traced_keyed(1, Arc::clone(&est), Query::new())
             .expect("estimate");
         assert_eq!(stamps.batch_span, 0);
         // Traced job: a nonzero span.
@@ -788,7 +773,7 @@ mod tests {
             delay: Duration::ZERO,
         });
         assert!(matches!(
-            batcher.submit(est, Query::new()),
+            batcher.submit(1, est, Query::new(), None),
             Err(Rejection::ShuttingDown)
         ));
         batcher.shutdown();

@@ -18,7 +18,7 @@ use std::time::Duration;
 use ds_core::snapshot::{decode_hex, encode_hex};
 use ds_obs::{PromFamily, PromSample};
 
-use crate::metrics::{MetricsSnapshot, RequestTimeline};
+use crate::metrics::RequestTimeline;
 use crate::protocol::{
     format_request, parse_response, ErrorCode, Request, Response, PROTOCOL_VERSION,
     SUPPORTED_FEATURES,
@@ -367,18 +367,6 @@ impl Connection {
     pub fn lifecycle(&mut self, sketch: &str) -> std::io::Result<Response> {
         let sketch = sketch.to_string();
         self.roundtrip(&Request::Lifecycle { sketch }, false)
-    }
-
-    /// Sends `METRICS`.
-    pub fn metrics(&mut self) -> std::io::Result<Response> {
-        self.roundtrip(&Request::Metrics, false)
-    }
-
-    /// Sends `METRICS` and parses the payload into a typed snapshot.
-    pub fn metrics_snapshot(&mut self) -> std::io::Result<MetricsSnapshot> {
-        let t = text(self.metrics()?)?;
-        MetricsSnapshot::from_wire(&t)
-            .ok_or_else(|| invalid_data(format!("bad METRICS payload '{t}'")))
     }
 
     /// Sends `STATS` and parses the Prometheus exposition into samples.

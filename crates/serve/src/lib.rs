@@ -1,8 +1,9 @@
 //! `ds-serve`: a concurrent sketch-serving front end.
 //!
 //! A multi-threaded TCP server that exposes a [`SketchStore`] over a small
-//! line-based text protocol (`ESTIMATE`, `INFO`, `LIST`, `METRICS`,
-//! `QUIT`), built on the unified [`CardinalityEstimator`] API:
+//! line-based text protocol (`ESTIMATE`, `INFO`, `LIST`, `STATS`, `QUIT`,
+//! …; see [`protocol`]), built on the unified [`CardinalityEstimator`]
+//! API:
 //!
 //! * **Coalescing** — concurrent in-flight estimates against the same
 //!   sketch are gathered into micro-batches and answered through one
@@ -16,10 +17,10 @@
 //!   that sheds with `BUSY`, a connection cap, and graceful shutdown that
 //!   drains in-flight work ([`server`]).
 //! * **Observability** — lock-free counters and log₂ latency/batch-size
-//!   histograms, exposed through the `METRICS` command ([`metrics`]);
-//!   per-request stage timelines (parse → queue-wait → batch-wait →
-//!   forward → write) with slow-request exemplars behind `TRACE`, and a
-//!   full Prometheus-style exposition behind `STATS`.
+//!   histograms ([`metrics`]), exposed as a Prometheus-style exposition
+//!   behind `STATS`; per-request stage timelines (parse → queue-wait →
+//!   batch-wait → forward → write) with slow-request exemplars behind
+//!   `TRACE`.
 //! * **Model-quality feedback** — the `FEEDBACK` command replays observed
 //!   true cardinalities into per-sketch rolling q-error monitors
 //!   ([`ds_core::monitor`]); [`Server::monitors`] exposes them so
@@ -89,7 +90,7 @@ pub mod metrics;
 pub mod protocol;
 pub mod server;
 
-pub use batcher::{Batcher, BatcherConfig, Completed, Rejection, SharedEstimator, StageStamps};
+pub use batcher::{Batcher, BatcherConfig, Rejection, SharedEstimator, StageStamps};
 pub use breaker::{Admit, BreakerConfig, BreakerRegistry, CircuitBreaker};
 pub use cache::{EstimateCache, EstimateKey};
 pub use config::{ConfigError, ServeConfig, ServeConfigBuilder, ServeSlo, SloSignal};

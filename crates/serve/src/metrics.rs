@@ -315,70 +315,6 @@ pub struct MetricsSnapshot {
     pub max_us: u64,
 }
 
-impl MetricsSnapshot {
-    /// Single-line `key=value` form for the `METRICS` wire response.
-    pub fn to_wire(&self) -> String {
-        format!(
-            "requests={} ok={} errors={} shed={} timeouts={} degraded={} batches={} \
-             mean_batch={:.2} max_batch={} p50_us={} p95_us={} p99_us={} max_us={}",
-            self.requests,
-            self.ok,
-            self.errors,
-            self.shed,
-            self.timeouts,
-            self.degraded,
-            self.batches,
-            self.mean_batch,
-            self.max_batch,
-            self.p50_us,
-            self.p95_us,
-            self.p99_us,
-            self.max_us
-        )
-    }
-
-    /// Parses the `METRICS` wire line back into a snapshot (client side).
-    /// Unknown keys are ignored so older clients survive newer servers;
-    /// missing keys default to zero.
-    pub fn from_wire(s: &str) -> Option<Self> {
-        let mut snap = Self {
-            requests: 0,
-            ok: 0,
-            errors: 0,
-            shed: 0,
-            timeouts: 0,
-            degraded: 0,
-            batches: 0,
-            mean_batch: 0.0,
-            max_batch: 0,
-            p50_us: 0,
-            p95_us: 0,
-            p99_us: 0,
-            max_us: 0,
-        };
-        for field in s.split_whitespace() {
-            let (key, value) = field.split_once('=')?;
-            match key {
-                "requests" => snap.requests = value.parse().ok()?,
-                "ok" => snap.ok = value.parse().ok()?,
-                "errors" => snap.errors = value.parse().ok()?,
-                "shed" => snap.shed = value.parse().ok()?,
-                "timeouts" => snap.timeouts = value.parse().ok()?,
-                "degraded" => snap.degraded = value.parse().ok()?,
-                "batches" => snap.batches = value.parse().ok()?,
-                "mean_batch" => snap.mean_batch = value.parse().ok()?,
-                "max_batch" => snap.max_batch = value.parse().ok()?,
-                "p50_us" => snap.p50_us = value.parse().ok()?,
-                "p95_us" => snap.p95_us = value.parse().ok()?,
-                "p99_us" => snap.p99_us = value.parse().ok()?,
-                "max_us" => snap.max_us = value.parse().ok()?,
-                _ => {}
-            }
-        }
-        Some(snap)
-    }
-}
-
 impl std::fmt::Display for MetricsSnapshot {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         writeln!(f, "serving metrics:")?;
@@ -466,10 +402,6 @@ mod tests {
         assert_eq!(s.mean_batch, 12.0);
         assert_eq!(s.max_batch, 16);
         assert_eq!(s.p50_us, 100, "single sample is exact");
-        // Wire and display forms carry the same numbers.
-        let wire = s.to_wire();
-        assert!(wire.contains("requests=2") && wire.contains("mean_batch=12.00"));
-        assert!(!wire.contains('\n'));
         assert!(s.to_string().contains("p95"));
     }
 
@@ -554,20 +486,5 @@ mod tests {
         let slow = m.slow.snapshot();
         assert_eq!(slow.len(), 1);
         assert_eq!(slow[0].total_us, 2000);
-    }
-
-    #[test]
-    fn metrics_snapshot_roundtrips_its_wire_line() {
-        let m = Metrics::new();
-        m.record_request();
-        m.record_ok(Duration::from_micros(64));
-        m.record_batch(4);
-        let s = m.snapshot();
-        assert_eq!(MetricsSnapshot::from_wire(&s.to_wire()).unwrap(), s);
-        assert!(MetricsSnapshot::from_wire("requests=x").is_none());
-        // Unknown keys from a newer server are skipped, not fatal.
-        assert!(
-            MetricsSnapshot::from_wire("requests=3 brand_new=1").is_some_and(|p| p.requests == 3)
-        );
     }
 }

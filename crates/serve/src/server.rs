@@ -602,11 +602,6 @@ fn handle_line(
             };
             (Response::Text(payload), false, None)
         }
-        Request::Metrics => (
-            Response::Text(shared.metrics.snapshot().to_wire()),
-            false,
-            None,
-        ),
         Request::Stats => (Response::Text(stats_payload(shared)), false, None),
         Request::Lifecycle { sketch } => (handle_lifecycle(&sketch, shared), false, None),
         Request::Trace => (Response::Text(trace_payload(shared)), false, None),

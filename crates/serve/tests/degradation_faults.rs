@@ -24,7 +24,7 @@ use ds_serve::{Connection, ServeConfig, Server, SharedEstimator};
 
 mod common;
 
-use common::fixture;
+use common::{fixture, stat};
 
 const SQL: &str = "SELECT COUNT(*) FROM title WHERE title.kind_id = 1";
 
@@ -56,7 +56,7 @@ fn healthy_wire_responses_are_byte_identical_with_degradation_configured() {
     let (v, degraded) = c.estimate_flagged("imdb", SQL).unwrap();
     assert!(!degraded, "healthy sketch must not be flagged");
     assert_eq!(v.to_bits(), expected.to_bits());
-    assert_eq!(c.metrics_snapshot().unwrap().degraded, 0);
+    assert_eq!(stat(&mut c, "ds_serve_degraded"), 0.0);
     c.quit().unwrap();
     server.shutdown();
 }
@@ -120,8 +120,8 @@ mod faulted {
         // The raw wire line carries the flag as a trailing token.
         let line = c.send_raw(&format!("ESTIMATE imdb {SQL}")).unwrap();
         assert!(line.ends_with(" degraded"), "{line}");
-        let snap = c.metrics_snapshot().unwrap();
-        assert!(snap.degraded >= 6, "degraded counter: {}", snap.degraded);
+        let degraded = stat(&mut c, "ds_serve_degraded");
+        assert!(degraded >= 6.0, "degraded counter: {degraded}");
 
         // Heal and wait out the cooldown: the half-open probe succeeds,
         // the breaker closes, and answers are bit-identical to the sketch
@@ -242,9 +242,12 @@ mod faulted {
             "deadline miss must degrade when a fallback exists"
         );
         assert_eq!(v.to_bits(), fallback_expected.to_bits());
-        let snap = c.metrics_snapshot().unwrap();
-        assert_eq!(snap.degraded, 1);
-        assert_eq!(snap.timeouts, 1, "the underlying timeout is still counted");
+        assert_eq!(stat(&mut c, "ds_serve_degraded"), 1.0);
+        assert_eq!(
+            stat(&mut c, "ds_serve_timeouts"),
+            1.0,
+            "the underlying timeout is still counted"
+        );
         c.quit().unwrap();
         server.shutdown();
     }

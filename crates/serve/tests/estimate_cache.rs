@@ -2,7 +2,8 @@
 //! template-keyed cache, proving that
 //!
 //! * a warm hit returns the byte-identical wire line a cold estimate
-//!   produced (memoization is invisible on the wire);
+//!   produced (memoization is invisible on the wire), also when the hit
+//!   spells the query's clauses in another order;
 //! * a sketch swap (remove + re-insert) invalidates: stale generations can
 //!   never answer, and the purge is counted;
 //! * sustained `FEEDBACK`-detected accuracy drift purges the drifting
@@ -51,6 +52,49 @@ fn cache_hit_returns_bit_identical_wire_bytes() {
     assert_eq!(stat(&mut c, "ds_serve_cache_misses"), 1.0);
     assert_eq!(stat(&mut c, "ds_serve_cache_hits"), 1.0);
     assert_eq!(stat(&mut c, "ds_serve_cache_len"), 1.0);
+    c.quit().unwrap();
+    server.shutdown();
+}
+
+/// The cache key is the canonical form, so the clause-reversed spelling of
+/// a warm query is a hit. The hit must still carry the bits a local
+/// `estimate_one` gives the reversed spelling: the estimate itself is a
+/// function of the canonical form, not of clause order.
+#[test]
+fn reordered_clauses_hit_the_cache_with_their_own_estimate() {
+    const ORIGINAL: &str = "SELECT COUNT(*) FROM title, cast_info, movie_info, movie_info_idx \
+        WHERE title.id = cast_info.movie_id AND title.id = movie_info.movie_id \
+        AND title.id = movie_info_idx.movie_id AND movie_info.info_type_id = 109 \
+        AND movie_info_idx.info_type_id = 99 AND title.production_year > 2000";
+    const REVERSED: &str = "SELECT COUNT(*) FROM movie_info_idx, movie_info, cast_info, title \
+        WHERE title.id = movie_info_idx.movie_id AND title.id = movie_info.movie_id \
+        AND title.id = cast_info.movie_id AND title.production_year > 2000 \
+        AND movie_info_idx.info_type_id = 99 AND movie_info.info_type_id = 109";
+    let (db, store) = fixture();
+    let expected = store
+        .get("imdb")
+        .unwrap()
+        .estimate_one(&parse_query(&db, REVERSED).unwrap());
+    let server = Server::start(
+        Arc::clone(&db),
+        store,
+        ServeConfig::builder()
+            .request_timeout(Duration::from_secs(30))
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    let mut c = Connection::connect_timeout(server.local_addr(), Duration::from_secs(30)).unwrap();
+
+    let cold = c.estimate_value("imdb", ORIGINAL).unwrap();
+    let hit = c.estimate_value("imdb", REVERSED).unwrap();
+    assert_eq!(stat(&mut c, "ds_serve_cache_hits"), 1.0);
+    assert_eq!(
+        hit.to_bits(),
+        expected.to_bits(),
+        "hit {hit:?} vs local {expected:?}"
+    );
+    assert_eq!(hit.to_bits(), cold.to_bits());
     c.quit().unwrap();
     server.shutdown();
 }

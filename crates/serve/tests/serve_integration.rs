@@ -12,7 +12,7 @@ use ds_storage::gen::{imdb_database, ImdbConfig};
 
 mod common;
 
-use common::{fixture, tiny_sketch};
+use common::{fixture, stat, tiny_sketch};
 
 const WORKLOAD: &[&str] = &[
     "SELECT COUNT(*) FROM title",
@@ -108,11 +108,9 @@ fn protocol_commands_and_typed_errors() {
         Response::Text(t) => assert!(!t.is_empty()),
         other => panic!("{other:?}"),
     }
-    // METRICS is parseable key=value.
-    match c.metrics().unwrap() {
-        Response::Text(t) => assert!(t.contains("requests=") && t.contains("p99_us="), "{t}"),
-        other => panic!("{other:?}"),
-    }
+    // STATS carries the request counter and the latency summary.
+    assert!(stat(&mut c, "ds_serve_requests") >= 2.0);
+    stat(&mut c, "ds_serve_latency_us_count");
 
     // Typed errors, one per failure class — and the connection survives
     // every one of them.
@@ -135,6 +133,11 @@ fn protocol_commands_and_typed_errors() {
         let line = c.send_raw(raw).unwrap();
         assert!(line.starts_with("ERR proto "), "{raw:?} -> {line}");
     }
+    // METRICS is retired in favour of STATS: it is an unknown verb.
+    assert_eq!(
+        c.send_raw("METRICS").unwrap(),
+        "ERR proto unknown command 'METRICS'"
+    );
     // Still alive after all that abuse.
     match c.estimate("imdb", "SELECT COUNT(*) FROM title").unwrap() {
         Response::Estimate(v) => assert!(v.is_finite() && v >= 1.0),
@@ -273,10 +276,9 @@ fn stats_trace_and_feedback_expose_the_request_timeline() {
     }
     let answered = 2 + WORKLOAD.len() as u64;
 
-    // Typed METRICS and INFO.
-    let snap = c.metrics_snapshot().unwrap();
-    assert_eq!(snap.ok, answered);
-    assert_eq!(snap.errors, 0);
+    // Typed counters and INFO.
+    assert_eq!(stat(&mut c, "ds_serve_ok"), answered as f64);
+    assert_eq!(stat(&mut c, "ds_serve_errors"), 0.0);
     let card = c.info_card("imdb").unwrap();
     assert_eq!(card.tables, 6);
     assert!(card.model_params > 0 && card.footprint_mib > 0.0);
