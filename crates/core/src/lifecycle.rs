@@ -1329,9 +1329,16 @@ mod tests {
             Err(SnapshotError::ChecksumMismatch { .. })
         ));
 
-        // Truncation → typed error, never a panic.
+        // Truncation → typed error, never a panic. Anything shorter than
+        // header + count + trailer (24 bytes) is `Truncated`.
         for cut in [0, 3, 9, bytes.len() - 1] {
             assert!(HarvestSet::decode(&bytes[..cut], 64).is_err());
+        }
+        for cut in 0..24 {
+            assert!(matches!(
+                HarvestSet::decode(&bytes[..cut], 64),
+                Err(SnapshotError::Truncated)
+            ));
         }
 
         // A huge count field (with a fixed-up checksum) → Corrupt, before
