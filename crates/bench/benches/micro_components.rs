@@ -8,10 +8,11 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use ds_core::featurize::Featurizer;
-use ds_core::mscn::{MscnConfig, MscnModel};
+use ds_core::mscn::{BackwardScratch, ForwardCache, MscnConfig, MscnModel};
 use ds_est::postgres::PostgresEstimator;
 use ds_est::sampling::SamplingEstimator;
 use ds_est::CardinalityEstimator;
+use ds_nn::pool::PoolConfig;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::workloads::job_light::job_light_workload;
 use ds_query::{GeneratorConfig, QueryGenerator};
@@ -76,7 +77,11 @@ fn bench_forward(c: &mut Criterion) {
     let workload = job_light_workload(&db, 3);
     let batch = featurizer.batch_queries(&workload, &samples);
     c.bench_function("mscn/forward_batch_70", |b| {
-        b.iter(|| black_box(model.predict(black_box(&batch))))
+        b.iter(|| {
+            let mut cache = ForwardCache::new();
+            model.forward_into(black_box(&batch), PoolConfig::single(), &mut cache);
+            black_box(cache.output().data().to_vec())
+        })
     });
 }
 
@@ -104,9 +109,16 @@ fn bench_training_step(c: &mut Criterion) {
         b.iter_batched(
             || (model.clone(), ds_nn::optim::Adam::new(1e-3)),
             |(mut m, mut adam)| {
-                let (y, cache) = m.forward(&batch);
-                let (_, grad) = loss.forward_backward(&y, &labels);
-                m.backward(&batch, &cache, &grad);
+                let mut cache = ForwardCache::new();
+                m.forward_into(&batch, PoolConfig::single(), &mut cache);
+                let (_, grad) = loss.forward_backward(cache.output(), &labels);
+                m.backward_with(
+                    &batch,
+                    &cache,
+                    &grad,
+                    PoolConfig::single(),
+                    &mut BackwardScratch::new(),
+                );
                 m.adam_step(&mut adam);
                 black_box(m.num_params())
             },
@@ -116,7 +128,6 @@ fn bench_training_step(c: &mut Criterion) {
 }
 
 fn bench_matmul_shapes(c: &mut Criterion) {
-    use ds_nn::pool::PoolConfig;
     use ds_nn::tensor::{Kernel, Tensor};
     let filled = |rows: usize, cols: usize, seed: u64| {
         let mut s = seed | 1;

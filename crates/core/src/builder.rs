@@ -251,9 +251,10 @@ impl<'a> SketchBuilder<'a> {
         self
     }
 
-    /// Worker threads for the whole pipeline: training-query execution,
-    /// the training matmul kernels, and the built sketch's batched
-    /// serving. Results are bit-identical at any thread count.
+    /// Worker threads for building: training-query execution and the
+    /// training matmul kernels. The built sketch carries no thread count
+    /// and serves on the calling thread. Results are bit-identical at any
+    /// thread count.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -421,7 +422,6 @@ impl<'a> SketchBuilder<'a> {
             normalizer,
             self.db.name().to_string(),
         );
-        sketch.set_threads(self.threads);
         // The selected epoch's holdout q-error distribution ships inside
         // the sketch as the reference for online drift detection.
         if let Some(baseline) = crate::monitor::baseline_from_qerrors(&training.holdout_qerrors) {

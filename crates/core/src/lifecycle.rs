@@ -353,7 +353,9 @@ pub struct LifecycleConfig {
     /// Epochs for the incremental retrain (small: it refines, not
     /// rebuilds).
     pub train_epochs: usize,
-    /// Threads for the background training (off the serving path).
+    /// Threads for the background training (off the serving path). The
+    /// candidate sketch keeps no thread count: it serves on the calling
+    /// thread like any other sketch.
     pub train_threads: usize,
     /// Seed for candidate weight init and shuffling.
     pub seed: u64,
@@ -1173,7 +1175,6 @@ fn train_candidate(
         normalizer,
         live.database_name().to_string(),
     );
-    candidate.set_threads(cfg.train_threads);
     if let Some(baseline) = baseline_from_qerrors(&report.holdout_qerrors) {
         candidate.set_baseline(baseline);
     }

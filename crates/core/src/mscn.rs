@@ -134,10 +134,9 @@ pub struct MscnModel {
     out1: Linear,
     out2: Linear,
     hidden: usize,
-    pool: PoolConfig,
 }
 
-/// Forward cache for one batch, consumed by [`MscnModel::backward`]. All
+/// Forward cache for one batch, consumed by [`MscnModel::backward_with`]. All
 /// buffers are reused across [`MscnModel::forward_into`] calls, so a
 /// training loop that keeps one cache alive allocates nothing per batch.
 #[derive(Default)]
@@ -198,24 +197,12 @@ impl MscnModel {
             out1: Linear::new(3 * h, h, cfg.seed ^ 0x04),
             out2: Linear::new(h, 1, cfg.seed ^ 0x05),
             hidden: h,
-            pool: PoolConfig::single(),
         }
     }
 
     /// Hidden width.
     pub fn hidden(&self) -> usize {
         self.hidden
-    }
-
-    /// Thread pool used by the matmul kernels. Results are bit-identical
-    /// at any thread count; this only affects speed.
-    pub fn pool(&self) -> PoolConfig {
-        self.pool
-    }
-
-    /// Sets the kernel thread pool (see [`MscnModel::pool`]).
-    pub fn set_pool(&mut self, pool: PoolConfig) {
-        self.pool = pool;
     }
 
     /// Expected input dimensions `(table, join, pred)`.
@@ -236,20 +223,13 @@ impl MscnModel {
             + self.out2.num_params()
     }
 
-    /// Forward pass: returns per-query normalized outputs `(batch × 1)` in
-    /// `(0, 1)` plus the cache for a subsequent backward pass.
-    pub fn forward(&self, batch: &FeatureBatch) -> (Tensor, ForwardCache) {
-        let mut cache = ForwardCache::new();
-        self.forward_into(batch, &mut cache);
-        (cache.y.clone(), cache)
-    }
-
-    /// [`MscnModel::forward`] into a reusable cache; read the outputs via
-    /// [`ForwardCache::output`]. This is the allocation-free hot path.
-    pub fn forward_into(&self, batch: &FeatureBatch, cache: &mut ForwardCache) {
+    /// Forward pass into a reusable cache: per-query normalized outputs
+    /// `(batch × 1)` in `(0, 1)`, read via [`ForwardCache::output`], plus
+    /// what a subsequent backward pass needs. `pool` only affects speed:
+    /// the kernels are bit-identical at any thread count.
+    pub fn forward_into(&self, batch: &FeatureBatch, pool: PoolConfig, cache: &mut ForwardCache) {
         let obs = ds_obs::global();
         let _fwd = obs.span("forward");
-        let pool = self.pool;
         {
             let _s = obs.span("tables");
             self.tables
@@ -280,31 +260,19 @@ impl MscnModel {
         }
     }
 
-    /// Inference-only forward: per-query normalized outputs.
-    pub fn predict(&self, batch: &FeatureBatch) -> Vec<f32> {
-        let (y, _) = self.forward(batch);
-        y.data().to_vec()
-    }
-
-    /// Backward pass: accumulates gradients in every layer. `batch` must
-    /// be the batch of the matching forward pass, `grad_y` is `∂L/∂y`
-    /// with `y` the sigmoid output.
-    pub fn backward(&mut self, batch: &FeatureBatch, cache: &ForwardCache, grad_y: &Tensor) {
-        let mut scratch = BackwardScratch::new();
-        self.backward_with(batch, cache, grad_y, &mut scratch);
-    }
-
-    /// [`MscnModel::backward`] with a reusable scratch arena.
+    /// Backward pass with a reusable scratch arena: accumulates gradients
+    /// in every layer. `batch` and `cache` must come from the matching
+    /// forward pass, `grad_y` is `∂L/∂y` with `y` the sigmoid output.
     pub fn backward_with(
         &mut self,
         batch: &FeatureBatch,
         cache: &ForwardCache,
         grad_y: &Tensor,
+        pool: PoolConfig,
         s: &mut BackwardScratch,
     ) {
         let obs = ds_obs::global();
         let _bwd = obs.span("backward");
-        let pool = self.pool;
         {
             let _s = obs.span("output");
             sigmoid_backward_into(&cache.y, grad_y, &mut s.g_z4);
@@ -444,9 +412,6 @@ impl MscnModel {
             out1,
             out2,
             hidden,
-            // The pool is a runtime knob, never serialized: a sketch must
-            // produce the same bytes regardless of the builder's threads.
-            pool: PoolConfig::single(),
         })
     }
 }
@@ -471,6 +436,13 @@ mod tests {
         (f.batch_queries(&qs, &samples), f)
     }
 
+    /// Serial forward pass; returns the per-query outputs.
+    fn outputs(model: &MscnModel, batch: &FeatureBatch) -> Vec<f32> {
+        let mut cache = ForwardCache::new();
+        model.forward_into(batch, PoolConfig::single(), &mut cache);
+        cache.output().data().to_vec()
+    }
+
     #[test]
     fn forward_outputs_are_probabilities() {
         let (batch, f) = small_batch();
@@ -483,7 +455,9 @@ mod tests {
                 seed: 3,
             },
         );
-        let (y, _) = model.forward(&batch);
+        let mut cache = ForwardCache::new();
+        model.forward_into(&batch, PoolConfig::single(), &mut cache);
+        let y = cache.output();
         assert_eq!(y.rows(), 8);
         assert_eq!(y.cols(), 1);
         for &v in y.data() {
@@ -497,14 +471,14 @@ mod tests {
         let cfg = MscnConfig { hidden: 8, seed: 5 };
         let m1 = MscnModel::new(f.table_dim(), f.join_dim(), f.pred_dim(), cfg);
         let m2 = MscnModel::new(f.table_dim(), f.join_dim(), f.pred_dim(), cfg);
-        assert_eq!(m1.predict(&batch), m2.predict(&batch));
+        assert_eq!(outputs(&m1, &batch), outputs(&m2, &batch));
         let m3 = MscnModel::new(
             f.table_dim(),
             f.join_dim(),
             f.pred_dim(),
             MscnConfig { hidden: 8, seed: 6 },
         );
-        assert_ne!(m1.predict(&batch), m3.predict(&batch));
+        assert_ne!(outputs(&m1, &batch), outputs(&m3, &batch));
     }
 
     #[test]
@@ -533,8 +507,8 @@ mod tests {
         );
         let ba = f.batch_queries(std::slice::from_ref(&qa), &samples);
         let bb = f.batch_queries(std::slice::from_ref(&qb), &samples);
-        let ya = model.predict(&ba)[0];
-        let yb = model.predict(&bb)[0];
+        let ya = outputs(&model, &ba)[0];
+        let yb = outputs(&model, &bb)[0];
         assert!(
             (ya - yb).abs() < 1e-6,
             "not permutation invariant: {ya} vs {yb}"
@@ -552,11 +526,14 @@ mod tests {
             f.pred_dim(),
             MscnConfig { hidden: 6, seed: 1 },
         );
-        let (y, cache) = model.forward(&batch);
-        let ones = Tensor::from_vec(y.rows(), 1, vec![1.0; y.rows()]);
-        model.backward(&batch, &cache, &ones);
+        let mut cache = ForwardCache::new();
+        model.forward_into(&batch, PoolConfig::single(), &mut cache);
+        let rows = cache.output().rows();
+        let ones = Tensor::from_vec(rows, 1, vec![1.0; rows]);
+        let mut scratch = BackwardScratch::new();
+        model.backward_with(&batch, &cache, &ones, PoolConfig::single(), &mut scratch);
 
-        let loss = |m: &MscnModel| -> f32 { m.predict(&batch).iter().sum() };
+        let loss = |m: &MscnModel| -> f32 { outputs(m, &batch).iter().sum() };
         let eps = 3e-3_f32;
 
         // Probe a parameter in out2 and one in the predicate module l1.
@@ -634,7 +611,7 @@ mod tests {
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
         let restored = MscnModel::decode(&mut d).unwrap();
-        assert_eq!(model.predict(&batch), restored.predict(&batch));
+        assert_eq!(outputs(&model, &batch), outputs(&restored, &batch));
         assert_eq!(model.num_params(), restored.num_params());
     }
 

@@ -8,6 +8,7 @@ use std::cell::RefCell;
 use ds_est::{CardinalityEstimator, EstimateError};
 use ds_nn::frozen::{FrozenModel, FrozenScratch, QuantMode};
 use ds_nn::loss::LabelNormalizer;
+use ds_nn::pool::PoolConfig;
 use ds_nn::serialize::{DecodeError, Decoder, Encoder};
 use ds_obs::HistogramSnapshot;
 use ds_query::query::Query;
@@ -35,9 +36,9 @@ const VERSION: u32 = 4;
 const MIN_VERSION: u32 = 1;
 
 /// Queries per serving batch. Bounds the flattened set matrices (keeping
-/// them cache-resident) and is the unit of work parallelized across
-/// serving threads. Chunking never changes results: every query's rows
-/// flow through row-independent kernels and its own pooling segments.
+/// them cache-resident). Chunking never changes results: every query's
+/// rows flow through row-independent kernels and its own pooling
+/// segments.
 const SERVE_CHUNK: usize = 256;
 
 /// Accuracy gate for freezing (see [`DeepSketch::freeze_gated`]): the worst
@@ -111,9 +112,6 @@ pub struct DeepSketch {
     normalizer: LabelNormalizer,
     database_name: String,
     name: String,
-    /// Serving threads for [`DeepSketch::estimate_batch`]. A runtime knob:
-    /// never serialized, never affects results.
-    threads: usize,
     /// Training-time holdout q-error distribution (scaled ×1000 into log₂
     /// buckets) — the accuracy the shipped weights actually achieved, and
     /// the reference the online drift monitor compares rolling feedback
@@ -146,16 +144,9 @@ impl DeepSketch {
             normalizer,
             database_name,
             name,
-            threads: 1,
             baseline: None,
             frozen: None,
         }
-    }
-
-    /// Sets the serving thread count for [`DeepSketch::estimate_batch`].
-    /// Estimates are bit-identical at any value; this only affects speed.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Attaches the training-time q-error baseline (scaled ×1000, see
@@ -285,9 +276,8 @@ impl DeepSketch {
     }
 
     /// Estimates a batch of queries: featurizes and forwards
-    /// `SERVE_CHUNK`-query chunks, spreading chunks across the
-    /// configured serving threads. Returns exactly what a loop of
-    /// [`DeepSketch::estimate_one`] calls would.
+    /// `SERVE_CHUNK`-query chunks on the calling thread. Returns exactly
+    /// what a loop of [`DeepSketch::estimate_one`] calls would.
     pub fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
         if queries.is_empty() {
             return Vec::new();
@@ -306,35 +296,19 @@ impl DeepSketch {
             }
         }
         let mut out = vec![0.0f64; queries.len()];
-        let n_chunks = queries.len().div_ceil(SERVE_CHUNK);
-        let threads = self.threads.min(n_chunks);
-        if threads <= 1 {
-            let mut cache = ForwardCache::new();
-            for (qs, os) in queries.chunks(SERVE_CHUNK).zip(out.chunks_mut(SERVE_CHUNK)) {
-                self.estimate_chunk(qs, os, &mut cache);
-            }
-        } else {
-            // Contiguous spans of whole chunks per worker; each worker owns
-            // a disjoint slice of the output and its own scratch cache.
-            let span = n_chunks.div_ceil(threads) * SERVE_CHUNK;
-            std::thread::scope(|s| {
-                for (qs, os) in queries.chunks(span).zip(out.chunks_mut(span)) {
-                    s.spawn(move || {
-                        let mut cache = ForwardCache::new();
-                        for (q, o) in qs.chunks(SERVE_CHUNK).zip(os.chunks_mut(SERVE_CHUNK)) {
-                            self.estimate_chunk(q, o, &mut cache);
-                        }
-                    });
-                }
-            });
+        let mut cache = ForwardCache::new();
+        for (qs, os) in queries.chunks(SERVE_CHUNK).zip(out.chunks_mut(SERVE_CHUNK)) {
+            self.estimate_chunk(qs, os, &mut cache);
         }
         out
     }
 
-    /// Featurizes and forwards one chunk into its output slice.
+    /// Featurizes and forwards one chunk into its output slice. Serving
+    /// never fans out: one query's forward is a few small matrices, and
+    /// the server already runs one batch per worker thread.
     fn estimate_chunk(&self, queries: &[Query], out: &mut [f64], cache: &mut ForwardCache) {
         let batch = self.featurizer.batch_queries(queries, &self.samples);
-        self.model.forward_into(&batch, cache);
+        self.model.forward_into(&batch, PoolConfig::single(), cache);
         for (o, &y) in out.iter_mut().zip(cache.output().data()) {
             *o = self.normalizer.denormalize(y).max(1.0);
         }
@@ -909,10 +883,10 @@ mod tests {
 
     #[test]
     fn estimate_batch_is_exactly_the_looped_estimates() {
-        // The batched serving path (chunked, optionally threaded) must
-        // return *exactly* `queries.iter().map(|q| estimate_one(q))` —
-        // chunking and threads may never change a single bit.
-        let (db, mut sketch) = tiny_sketch();
+        // The chunked batch path must return *exactly*
+        // `queries.iter().map(|q| estimate_one(q))` — chunking may never
+        // change a single bit.
+        let (db, sketch) = tiny_sketch();
         let mut queries = ds_query::workloads::job_light::job_light_workload(&db, 4);
         // Single-table query: empty join set (and no predicates).
         queries.push(parse_query(&db, "SELECT COUNT(*) FROM title").unwrap());
@@ -935,8 +909,7 @@ mod tests {
         );
         assert!(queries.iter().any(|q| q.joins.is_empty()));
         assert!(queries.iter().any(|q| q.predicates.is_empty()));
-        // Cycle past SERVE_CHUNK so multiple chunks (and with threads > 1,
-        // multiple workers) are exercised.
+        // Cycle past SERVE_CHUNK so multiple chunks are exercised.
         let many: Vec<_> = queries
             .iter()
             .cycle()
@@ -944,14 +917,7 @@ mod tests {
             .cloned()
             .collect();
         let looped: Vec<f64> = many.iter().map(|q| sketch.estimate_one(q)).collect();
-        for threads in [1, 2, 8] {
-            sketch.set_threads(threads);
-            assert_eq!(
-                sketch.estimate_batch(&many),
-                looped,
-                "batched serving diverged at threads={threads}"
-            );
-        }
+        assert_eq!(sketch.estimate_batch(&many), looped);
     }
 
     #[test]

@@ -252,7 +252,9 @@ pub fn train_with_callback(
         .lr_decay
         .map(|(gamma, step)| ds_nn::regularize::StepLr::new(cfg.lr, gamma, step));
 
-    model.set_pool(PoolConfig::new(cfg.threads));
+    // The kernel threads of this training run; the trained model keeps
+    // no trace of them.
+    let pool = PoolConfig::new(cfg.threads);
     // Forward/backward scratch shared across all batches of all epochs,
     // and the validation batch packed exactly once.
     let mut cache = ForwardCache::new();
@@ -270,7 +272,7 @@ pub fn train_with_callback(
         let mut batches = 0usize;
         for chunk in train_idx.chunks(cfg.batch_size) {
             let batch = featurizer.batch_indexed(&feats, chunk);
-            model.forward_into(&batch, &mut cache);
+            model.forward_into(&batch, pool, &mut cache);
             let y = cache.output();
             let (loss, grad) = match cfg.loss {
                 LossKind::QError => {
@@ -285,7 +287,7 @@ pub fn train_with_callback(
                     mse_loss(y, &targets)
                 }
             };
-            model.backward_with(&batch, &cache, &grad, &mut scratch);
+            model.backward_with(&batch, &cache, &grad, pool, &mut scratch);
             if let Some(max_norm) = cfg.grad_clip {
                 model.clip_gradients(max_norm);
             }
@@ -296,7 +298,7 @@ pub fn train_with_callback(
 
         let val_stats = val_batch.as_ref().map(|batch| {
             let _s = obs.span("validate");
-            model.forward_into(batch, &mut cache);
+            model.forward_into(batch, pool, &mut cache);
             let mut qerrs: Vec<f64> = val_idx
                 .iter()
                 .zip(cache.output().data())
@@ -411,6 +413,19 @@ mod tests {
         let oracle = TrueCardinalityOracle::new(&db);
         let labels = oracle.label_batch(&queries, 1).unwrap();
         (db, samples, featurizer, queries, labels)
+    }
+
+    /// Serial forward pass of `model` over `queries`.
+    fn outputs(
+        model: &MscnModel,
+        featurizer: &Featurizer,
+        queries: &[Query],
+        samples: &[TableSample],
+    ) -> Vec<f32> {
+        let mut cache = ForwardCache::new();
+        let batch = featurizer.batch_queries(queries, samples);
+        model.forward_into(&batch, PoolConfig::single(), &mut cache);
+        cache.output().data().to_vec()
     }
 
     #[test]
@@ -529,11 +544,10 @@ mod tests {
                 &normalizer,
                 &cfg,
             );
-            let batch = featurizer.batch_queries(&queries, &samples);
             (
                 r.final_train_loss(),
                 r.final_val_qerror(),
-                m.predict(&batch),
+                outputs(&m, &featurizer, &queries, &samples),
             )
         };
         let (l1, v1, p1) = mk(1);
@@ -672,9 +686,7 @@ mod tests {
         assert_eq!(best, selected, "selected epoch must be the best one");
         // The restored model must reproduce the best epoch's validation
         // q-error when re-evaluated (weights actually swapped in).
-        let val_queries: Vec<_> = queries.to_vec();
-        let batch = featurizer.batch_queries(&val_queries, &samples);
-        let _ = model.predict(&batch); // must not panic; weights are intact
+        let _ = outputs(&model, &featurizer, &queries, &samples); // must not panic; weights are intact
     }
 
     #[test]

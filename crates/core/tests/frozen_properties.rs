@@ -8,9 +8,10 @@
 use std::sync::OnceLock;
 
 use ds_core::featurize::{Featurizer, QueryIndexFeatures};
-use ds_core::mscn::{MscnConfig, MscnModel};
+use ds_core::mscn::{ForwardCache, MscnConfig, MscnModel};
 use ds_core::QuantMode;
 use ds_nn::frozen::{FrozenModel, FrozenScratch};
+use ds_nn::pool::PoolConfig;
 use ds_query::query::Query;
 use ds_query::workloads::imdb_predicate_columns;
 use ds_query::{GeneratorConfig, QueryGenerator};
@@ -37,6 +38,19 @@ fn fixture() -> &'static (Database, Vec<TableSample>, Featurizer) {
         let featurizer = Featurizer::build(&db, &imdb_predicate_columns(&db), 16);
         (db, samples, featurizer)
     })
+}
+
+/// The training-shape reference forward of `queries`, batched and serial.
+fn reference_forward(
+    model: &MscnModel,
+    featurizer: &Featurizer,
+    queries: &[Query],
+    samples: &[TableSample],
+) -> Vec<f32> {
+    let mut cache = ForwardCache::new();
+    let batch = featurizer.batch_queries(queries, samples);
+    model.forward_into(&batch, PoolConfig::single(), &mut cache);
+    cache.output().data().to_vec()
 }
 
 /// Fused forward of every query on `threads` worker threads, each with its
@@ -90,7 +104,7 @@ proptest! {
             GeneratorConfig::new(imdb_predicate_columns(db), query_seed),
         )
         .generate_batch(batch);
-        let reference = model.predict(&featurizer.batch_queries(&queries, samples));
+        let reference = reference_forward(&model, featurizer, &queries, samples);
 
         let frozen = model.freeze(QuantMode::F32);
         for threads in THREAD_COUNTS {
@@ -126,7 +140,7 @@ proptest! {
             GeneratorConfig::new(imdb_predicate_columns(db), query_seed),
         )
         .generate_batch(batch);
-        let reference = model.predict(&featurizer.batch_queries(&queries, samples));
+        let reference = reference_forward(&model, featurizer, &queries, samples);
 
         let frozen = model.freeze(QuantMode::Int8);
         for threads in THREAD_COUNTS {
